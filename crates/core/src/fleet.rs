@@ -4,7 +4,8 @@
 //! hundreds of buildings, each with its own crowdsourced signal map. A
 //! [`GraficsFleet`] holds one [`Shard`] per building (keyed by
 //! [`BuildingId`]) and routes each query to the shard whose AP inventory
-//! it overlaps, via a pluggable [`Router`].
+//! it overlaps, through one [`RouteIndex`] over the published snapshots,
+//! cached until a shard publishes.
 //!
 //! # Double-buffered shards
 //!
@@ -64,6 +65,7 @@
 //! shard and keep the best-distance answer, flagged
 //! [`FleetPrediction::fallback`].
 
+use crate::route::{RouteIndex, Router, RouterKind};
 use crate::server::serve_with_margin_scratch;
 use crate::wal::{
     self, checkpoint_file_name, encode_header, wal_file_name, FloorBucket, StdWalFs, WalEntry,
@@ -115,32 +117,6 @@ impl RetentionPolicy {
     #[must_use]
     pub fn bounds_memory(&self) -> bool {
         !matches!(self, RetentionPolicy::KeepAll)
-    }
-}
-
-/// Which built-in [`Router`] a fleet uses — the *persistable* router
-/// choice, stored in the fleet directory manifest so a reloaded fleet
-/// routes exactly like the one that saved it. Custom `Box<dyn Router>`
-/// implementations (via [`GraficsFleet::with_router`]) are runtime-only
-/// and round-trip as [`RouterKind::Overlap`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum RouterKind {
-    /// [`OverlapRouter`]: most known MACs wins.
-    Overlap,
-    /// [`WeightedOverlapRouter`]: largest summed edge weight over known
-    /// MACs wins — favours strong in-building readings over stray
-    /// hotspots heard through a wall.
-    WeightedOverlap,
-}
-
-impl RouterKind {
-    /// Instantiates the router this kind names.
-    #[must_use]
-    pub fn build(self) -> Box<dyn Router> {
-        match self {
-            RouterKind::Overlap => Box::new(OverlapRouter),
-            RouterKind::WeightedOverlap => Box::new(WeightedOverlapRouter),
-        }
     }
 }
 
@@ -285,84 +261,6 @@ impl std::error::Error for FleetError {
 impl From<GraficsError> for FleetError {
     fn from(e: GraficsError) -> Self {
         FleetError::Model(e)
-    }
-}
-
-/// Assigns records to shards. Implementations must be deterministic —
-/// routing is part of the fleet's reproducibility contract (same records
-/// + same snapshots ⇒ same assignment at any thread count).
-pub trait Router: Send + Sync {
-    /// Picks the shard for `record` from the published snapshots (sorted
-    /// ascending by [`BuildingId`]), or `None` to discard the record as
-    /// outside every building.
-    fn route(
-        &self,
-        snapshots: &[(BuildingId, Arc<Grafics>)],
-        record: &SignalRecord,
-    ) -> Option<BuildingId>;
-}
-
-/// The default router: the shard whose graph knows the most of the
-/// record's MACs wins (ties broken towards the lower [`BuildingId`]);
-/// zero overlap everywhere routes nowhere. Buildings have disjoint AP
-/// inventories up to stray hotspots, so the margin is usually the whole
-/// record.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct OverlapRouter;
-
-impl Router for OverlapRouter {
-    fn route(
-        &self,
-        snapshots: &[(BuildingId, Arc<Grafics>)],
-        record: &SignalRecord,
-    ) -> Option<BuildingId> {
-        let mut best: Option<(usize, BuildingId)> = None;
-        for (id, model) in snapshots {
-            let overlap = record
-                .macs()
-                .filter(|&m| model.graph().mac_node(m).is_some())
-                .count();
-            // Strict > keeps the first (lowest-id) shard on ties.
-            if overlap > 0 && best.is_none_or(|(b, _)| overlap > b) {
-                best = Some((overlap, *id));
-            }
-        }
-        best.map(|(_, id)| id)
-    }
-}
-
-/// Routes to the shard with the largest **summed edge weight** over the
-/// record's known MACs (each shard's own [`WeightFunction`] applied to
-/// the reading's RSS), rather than the raw overlap count. A strong
-/// in-building reading then outvotes several faint readings of a
-/// neighbour's APs bleeding through a shared wall or podium. Ties break
-/// towards the lower [`BuildingId`]; zero overlap routes nowhere.
-///
-/// [`WeightFunction`]: grafics_graph::WeightFunction
-#[derive(Debug, Clone, Copy, Default)]
-pub struct WeightedOverlapRouter;
-
-impl Router for WeightedOverlapRouter {
-    fn route(
-        &self,
-        snapshots: &[(BuildingId, Arc<Grafics>)],
-        record: &SignalRecord,
-    ) -> Option<BuildingId> {
-        let mut best: Option<(f64, BuildingId)> = None;
-        for (id, model) in snapshots {
-            let graph = model.graph();
-            let weight: f64 = record
-                .readings()
-                .iter()
-                .filter(|r| graph.mac_node(r.mac).is_some())
-                .map(|r| graph.weight_function().weight(r.rssi))
-                .sum();
-            // Strict > keeps the first (lowest-id) shard on ties.
-            if weight > 0.0 && best.is_none_or(|(b, _)| weight > b) {
-                best = Some((weight, *id));
-            }
-        }
-        best.map(|(_, id)| id)
     }
 }
 
@@ -924,11 +822,14 @@ impl Shard {
         }
         // Swap and bump the epoch while still holding the write mutex so
         // epoch, pending, and snapshot move together (concurrent
-        // publishers get strictly ordered epochs); readers only ever take
-        // the read lock for the pointer clone, so the critical section is
-        // O(1) for them.
-        *self.snapshot.write() = next;
+        // publishers get strictly ordered epochs), and under the snapshot
+        // lock so a reader of both sees a matching pair; readers only
+        // ever take the read lock for the pointer clone, so the critical
+        // section is O(1) for them.
+        let mut snapshot = self.snapshot.write();
+        *snapshot = next;
         let epoch = self.epoch.fetch_add(1, Ordering::AcqRel) + 1;
+        drop(snapshot);
         drop(guard);
         epoch
     }
@@ -1102,7 +1003,8 @@ impl Shard {
     }
 }
 
-/// A sharded serving fleet: one [`Shard`] per building plus a [`Router`].
+/// A sharded serving fleet: one [`Shard`] per building plus a
+/// [`RouteIndex`] over their published snapshots.
 /// See the [module docs](self) for the architecture.
 ///
 /// # Examples
@@ -1132,10 +1034,16 @@ impl Shard {
 pub struct GraficsFleet {
     /// Sorted ascending by id; ids unique.
     shards: Vec<Arc<Shard>>,
-    router: Box<dyn Router>,
-    /// `None` for custom boxed routers (runtime-only; persisted as the
-    /// default [`RouterKind::Overlap`]).
-    router_kind: Option<RouterKind>,
+    /// The routing rule; persisted in the manifest.
+    router_kind: RouterKind,
+    /// A runtime-only custom router ([`GraficsFleet::with_router`]) used
+    /// instead of the index.
+    custom_router: Option<Box<dyn Router>>,
+    /// The route index over the published snapshots, keyed by the shard
+    /// epochs it was built from (shards are only ever added, which
+    /// changes the key's length). It holds no snapshot, so a publish
+    /// frees the superseded one.
+    route_cache: RwLock<Option<(Vec<u64>, Arc<RouteIndex>)>>,
     /// Applied to every shard ([`GraficsFleet::add_shard`] and
     /// [`GraficsFleet::set_retention`]); persisted in the manifest.
     retention: RetentionPolicy,
@@ -1203,20 +1111,21 @@ impl Default for GraficsFleet {
 
 impl GraficsFleet {
     /// An empty fleet with the [`FleetManifest::default`] configuration:
-    /// [`OverlapRouter`], [`RetentionPolicy::KeepAll`], no maintenance.
+    /// [`RouterKind::Overlap`], [`RetentionPolicy::KeepAll`], no
+    /// maintenance.
     #[must_use]
     pub fn new() -> Self {
         GraficsFleet::with_manifest(FleetManifest::default())
     }
 
-    /// An empty fleet configured by `manifest` (router built from its
-    /// [`RouterKind`]).
+    /// An empty fleet configured by `manifest`.
     #[must_use]
     pub fn with_manifest(manifest: FleetManifest) -> Self {
         GraficsFleet {
             shards: Vec::new(),
-            router: manifest.router.build(),
-            router_kind: Some(manifest.router),
+            router_kind: manifest.router,
+            custom_router: None,
+            route_cache: RwLock::new(None),
             retention: manifest.retention,
             maintenance: manifest.maintenance,
             durability: manifest.durability,
@@ -1231,14 +1140,8 @@ impl GraficsFleet {
     #[must_use]
     pub fn with_router(router: Box<dyn Router>) -> Self {
         GraficsFleet {
-            shards: Vec::new(),
-            router,
-            router_kind: None,
-            retention: RetentionPolicy::KeepAll,
-            maintenance: MaintenancePolicy::default(),
-            durability: DurabilityPolicy::Off,
-            serving: ServingPolicy::default(),
-            metrics: FleetServeMetrics::default(),
+            custom_router: Some(router),
+            ..GraficsFleet::new()
         }
     }
 
@@ -1248,7 +1151,7 @@ impl GraficsFleet {
     pub fn manifest(&self) -> FleetManifest {
         FleetManifest {
             version: FLEET_MANIFEST_VERSION,
-            router: self.router_kind.unwrap_or(RouterKind::Overlap),
+            router: self.router_kind,
             retention: self.retention,
             maintenance: self.maintenance,
             durability: self.durability,
@@ -1385,11 +1288,12 @@ impl GraficsFleet {
         Ok(())
     }
 
-    /// Replaces the router with a built-in kind (persisted in the
-    /// manifest).
+    /// Replaces the routing rule (persisted in the manifest), dropping
+    /// any custom router.
     pub fn set_router(&mut self, kind: RouterKind) {
-        self.router = kind.build();
-        self.router_kind = Some(kind);
+        self.router_kind = kind;
+        self.custom_router = None;
+        *self.route_cache.write() = None;
     }
 
     /// Migrates a pre-fleet single-building model into a one-shard fleet
@@ -1448,17 +1352,77 @@ impl GraficsFleet {
         self.shards.is_empty()
     }
 
-    /// The current published snapshots, sorted ascending by building id —
-    /// a consistent view to route and serve a whole batch against.
+    /// The current published snapshots, sorted ascending by building id.
     #[must_use]
     pub fn snapshots(&self) -> Vec<(BuildingId, Arc<Grafics>)> {
         self.shards.iter().map(|s| (s.id(), s.snapshot())).collect()
     }
 
+    /// The published snapshots (ascending by id) and a route index built
+    /// from exactly those snapshots: the cached index is reused only
+    /// while every shard's epoch matches.
+    fn published(&self) -> (Vec<(BuildingId, Arc<Grafics>)>, Arc<RouteIndex>) {
+        let mut epochs = Vec::with_capacity(self.shards.len());
+        let snapshots: Vec<(BuildingId, Arc<Grafics>)> = self
+            .shards
+            .iter()
+            .map(|shard| {
+                // Publish bumps the epoch under the snapshot lock, so
+                // the pair read under it always matches.
+                let snapshot = shard.snapshot.read();
+                epochs.push(shard.epoch());
+                (shard.id(), snapshot.clone())
+            })
+            .collect();
+        if let Some(index) = self.cached_index(&epochs) {
+            return (snapshots, index);
+        }
+        let inventories = snapshots.iter().map(|(id, snapshot)| {
+            let graph = snapshot.graph();
+            (*id, graph.weight_function(), graph.macs())
+        });
+        let index = Arc::new(RouteIndex::new(self.router_kind, inventories));
+        *self.route_cache.write() = Some((epochs, Arc::clone(&index)));
+        (snapshots, index)
+    }
+
+    /// The cached route index, if it was built at exactly `epochs`.
+    fn cached_index(&self, epochs: &[u64]) -> Option<Arc<RouteIndex>> {
+        let cache = self.route_cache.read();
+        let (built, index) = cache.as_ref()?;
+        (built.as_slice() == epochs).then(|| Arc::clone(index))
+    }
+
+    /// The slot in `snapshots` (and in `self.shards`, which shares their
+    /// order) that `record` routes to; `index` must come with `snapshots`
+    /// from [`GraficsFleet::published`].
+    fn route_slot(
+        &self,
+        snapshots: &[(BuildingId, Arc<Grafics>)],
+        index: &RouteIndex,
+        record: &SignalRecord,
+    ) -> Option<usize> {
+        match &self.custom_router {
+            Some(router) => {
+                let id = router.route(snapshots, record)?;
+                snapshots.binary_search_by_key(&id, |(sid, _)| *sid).ok()
+            }
+            None => index.route_slot(record),
+        }
+    }
+
     /// Routes one record (no serving): which building would take it?
     #[must_use]
     pub fn route(&self, record: &SignalRecord) -> Option<BuildingId> {
-        self.router.route(&self.snapshots(), record)
+        // Routing alone needs no snapshot: an index cached at the current
+        // epochs is current.
+        let epochs: Vec<u64> = self.shards.iter().map(|s| s.epoch()).collect();
+        if let (None, Some(index)) = (&self.custom_router, self.cached_index(&epochs)) {
+            return index.route(record);
+        }
+        let (snapshots, index) = self.published();
+        let slot = self.route_slot(&snapshots, &index, record)?;
+        Some(snapshots[slot].0)
     }
 
     /// Routes and serves one record against the published snapshots.
@@ -1472,30 +1436,93 @@ impl GraficsFleet {
         record: &SignalRecord,
         rng: &mut R,
     ) -> Result<FleetPrediction, FleetError> {
-        let snapshots = self.snapshots();
-        let id = self
-            .router
-            .route(&snapshots, record)
+        let (snapshots, index) = self.published();
+        let slot = self
+            .route_slot(&snapshots, &index, record)
             .ok_or(FleetError::NoRoute)?;
-        let snap = snapshots
-            .into_iter()
-            .find(|(sid, _)| *sid == id)
-            .ok_or(FleetError::UnknownBuilding(id))?
-            .1;
-        let mut server = GraficsServer::with_policy(snap, self.serving);
+        self.serve_on(&snapshots, slot, record, rng)
+    }
+
+    /// Serves one record on the shard in `slot` of `snapshots`.
+    fn serve_on<R: Rng + ?Sized>(
+        &self,
+        snapshots: &[(BuildingId, Arc<Grafics>)],
+        slot: usize,
+        record: &SignalRecord,
+        rng: &mut R,
+    ) -> Result<FleetPrediction, FleetError> {
+        let mut server = GraficsServer::with_policy(&*snapshots[slot].1, self.serving);
         let result = server.infer_with_margin(record, rng);
         self.metrics.flush(server.take_counters());
-        let (pred, margin) = result?;
-        if let Some(shard) = self.shard(id) {
-            shard.record_margin(margin);
-        }
-        Ok(FleetPrediction {
-            building: id,
+        Ok(self.routed(slot, result?))
+    }
+
+    /// The answer of the shard in `slot` to a routed record; records its
+    /// margin.
+    fn routed(&self, slot: usize, (pred, margin): (Prediction, f64)) -> FleetPrediction {
+        self.shards[slot].record_margin(margin);
+        FleetPrediction {
+            building: self.shards[slot].id(),
             floor: pred.floor,
             distance: pred.distance,
             margin,
             fallback: false,
-        })
+        }
+    }
+
+    /// Serves `record` on **every** snapshot — shard `i` drawing from the
+    /// fresh stream `rng_for_shard(i)` — and returns the best-distance
+    /// answer, ties towards the lower building id, flagged as a fallback
+    /// (its margin is recorded on the winning shard). `None` if no shard
+    /// can serve the record at all.
+    ///
+    /// The whole scatter reuses **one** embedding/matching scratch pair
+    /// (instead of a fresh per-shard session), and resolves the serving
+    /// policy against each shard's own model config. Session counters
+    /// accumulate into `counters` for the caller to flush.
+    fn broadcast_best<R: Rng>(
+        &self,
+        snapshots: &[(BuildingId, Arc<Grafics>)],
+        record: &SignalRecord,
+        counters: &mut ServeCounters,
+        mut rng_for_shard: impl FnMut(usize) -> R,
+    ) -> Option<FleetPrediction> {
+        let mut scratch = OnlineScratch::new();
+        let mut matching = MatchScratch::new();
+        let mut best: Option<(usize, FleetPrediction)> = None;
+        for (i, (id, snap)) in snapshots.iter().enumerate() {
+            let (budget, precision) = self.serving.resolve(snap.config());
+            let mut rng = rng_for_shard(i);
+            let Ok((pred, margin)) = serve_with_margin_scratch(
+                snap,
+                &mut scratch,
+                &mut matching,
+                budget,
+                precision,
+                counters,
+                record,
+                &mut rng,
+            ) else {
+                continue;
+            };
+            // Strict < keeps the first (lowest-id) shard on ties.
+            if best
+                .as_ref()
+                .is_none_or(|(_, b)| pred.distance < b.distance)
+            {
+                let prediction = FleetPrediction {
+                    building: *id,
+                    floor: pred.floor,
+                    distance: pred.distance,
+                    margin,
+                    fallback: true,
+                };
+                best = Some((i, prediction));
+            }
+        }
+        let (slot, best) = best?;
+        self.shards[slot].record_margin(best.margin);
+        Some(best)
     }
 
     /// Like [`GraficsFleet::serve`], but a record the router declines is
@@ -1517,42 +1544,14 @@ impl GraficsFleet {
         record: &SignalRecord,
         rng: &mut R,
     ) -> Result<FleetPrediction, FleetError> {
-        let snapshots = self.snapshots();
-        match self.router.route(&snapshots, record) {
-            Some(id) => {
-                let snap = snapshots
-                    .into_iter()
-                    .find(|(sid, _)| *sid == id)
-                    .ok_or(FleetError::UnknownBuilding(id))?
-                    .1;
-                let mut server = GraficsServer::with_policy(snap, self.serving);
-                let result = server.infer_with_margin(record, rng);
-                self.metrics.flush(server.take_counters());
-                let (pred, margin) = result?;
-                if let Some(shard) = self.shard(id) {
-                    shard.record_margin(margin);
-                }
-                Ok(FleetPrediction {
-                    building: id,
-                    floor: pred.floor,
-                    distance: pred.distance,
-                    margin,
-                    fallback: false,
-                })
-            }
-            None => {
-                let mut counters = ServeCounters::default();
-                let best = broadcast_best(&snapshots, record, self.serving, &mut counters, |_| {
-                    rng.clone()
-                });
-                self.metrics.flush(counters);
-                let best = best.ok_or(FleetError::NoRoute)?;
-                if let Some(shard) = self.shard(best.building) {
-                    shard.record_margin(best.margin);
-                }
-                Ok(best)
-            }
+        let (snapshots, index) = self.published();
+        if let Some(slot) = self.route_slot(&snapshots, &index, record) {
+            return self.serve_on(&snapshots, slot, record, rng);
         }
+        let mut counters = ServeCounters::default();
+        let best = self.broadcast_best(&snapshots, record, &mut counters, |_| rng.clone());
+        self.metrics.flush(counters);
+        best.ok_or(FleetError::NoRoute)
     }
 
     /// Routes and serves a whole batch on `threads` workers. Routing runs
@@ -1654,7 +1653,7 @@ impl GraficsFleet {
         if records.is_empty() || self.shards.is_empty() {
             return out;
         }
-        let snapshots = self.snapshots();
+        let (snapshots, index) = self.published();
         // Per-record RNG stream indices: positional by default, caller
         // supplied for router-tier sub-batches.
         let streams: Vec<usize> = match indices {
@@ -1667,10 +1666,7 @@ impl GraficsFleet {
         // Deterministic serial routing pass: shard index per record.
         let routes: Vec<Option<usize>> = records
             .iter()
-            .map(|r| {
-                let id = self.router.route(&snapshots, r)?;
-                snapshots.binary_search_by_key(&id, |(sid, _)| *sid).ok()
-            })
+            .map(|r| self.route_slot(&snapshots, &index, r))
             .collect();
 
         let serve_chunk = |record_chunk: &[SignalRecord],
@@ -1697,15 +1693,9 @@ impl GraficsFleet {
                     if fallback {
                         // Unroutable: broadcast, every shard on the same
                         // per-record stream.
-                        *slot =
-                            broadcast_best(&snapshots, record, self.serving, &mut counters, |_| {
-                                record_rng(seed, stream)
-                            });
-                        if let Some(p) = slot {
-                            if let Some(shard) = self.shard(p.building) {
-                                shard.record_margin(p.margin);
-                            }
-                        }
+                        *slot = self.broadcast_best(&snapshots, record, &mut counters, |_| {
+                            record_rng(seed, stream)
+                        });
                     }
                     continue;
                 };
@@ -1716,18 +1706,7 @@ impl GraficsFleet {
                 *slot = server
                     .infer_with_margin(record, &mut rng)
                     .ok()
-                    .map(|(pred, margin)| {
-                        // `shards` and `snapshots` share the ascending-id
-                        // sort, so the route index addresses both.
-                        self.shards[sidx].record_margin(margin);
-                        FleetPrediction {
-                            building: snapshots[sidx].0,
-                            floor: pred.floor,
-                            distance: pred.distance,
-                            margin,
-                            fallback: false,
-                        }
-                    });
+                    .map(|answer| self.routed(sidx, answer));
             }
             for server in sessions.iter_mut().flatten() {
                 counters.merge(server.take_counters());
@@ -2278,52 +2257,4 @@ impl RecoveryReport {
     pub fn any_torn(&self) -> bool {
         self.shards.iter().any(|s| s.torn)
     }
-}
-
-/// Serves `record` on **every** snapshot — shard `i` drawing from the
-/// fresh stream `rng_for_shard(i)` — and returns the best-distance
-/// answer, ties towards the lower building id, flagged as a fallback.
-/// `None` if no shard can serve the record at all.
-///
-/// The whole scatter reuses **one** embedding/matching scratch pair
-/// (instead of a fresh per-shard session), and resolves `policy` against
-/// each shard's own model config. Session counters accumulate into
-/// `counters` for the caller to flush.
-fn broadcast_best<R: Rng>(
-    snapshots: &[(BuildingId, Arc<Grafics>)],
-    record: &SignalRecord,
-    policy: ServingPolicy,
-    counters: &mut ServeCounters,
-    mut rng_for_shard: impl FnMut(usize) -> R,
-) -> Option<FleetPrediction> {
-    let mut scratch = OnlineScratch::new();
-    let mut matching = MatchScratch::new();
-    let mut best: Option<FleetPrediction> = None;
-    for (i, (id, snap)) in snapshots.iter().enumerate() {
-        let (budget, precision) = policy.resolve(snap.config());
-        let mut rng = rng_for_shard(i);
-        let Ok((pred, margin)) = serve_with_margin_scratch(
-            snap,
-            &mut scratch,
-            &mut matching,
-            budget,
-            precision,
-            counters,
-            record,
-            &mut rng,
-        ) else {
-            continue;
-        };
-        // Strict < keeps the first (lowest-id) shard on ties.
-        if best.as_ref().is_none_or(|b| pred.distance < b.distance) {
-            best = Some(FleetPrediction {
-                building: *id,
-                floor: pred.floor,
-                distance: pred.distance,
-                margin,
-                fallback: true,
-            });
-        }
-    }
-    best
 }

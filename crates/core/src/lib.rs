@@ -50,18 +50,19 @@ use serde::{Deserialize, Serialize};
 use std::fmt;
 
 mod fleet;
+mod route;
 mod server;
 pub mod wal;
 
 pub use fleet::{
     read_manifest, read_router_manifest, write_router_manifest, BackendSpec, FleetError,
-    FleetManifest, FleetPrediction, FleetStats, GraficsFleet, MaintenancePolicy, OverlapRouter,
-    RecoveryReport, RetentionPolicy, Router, RouterKind, RouterManifest, Shard, ShardRecovery,
-    ShardStats, WeightedOverlapRouter, DEFAULT_MARGIN_WINDOW, FLEET_MANIFEST_VERSION,
-    ROUTER_MANIFEST_VERSION,
+    FleetManifest, FleetPrediction, FleetStats, GraficsFleet, MaintenancePolicy, RecoveryReport,
+    RetentionPolicy, RouterManifest, Shard, ShardRecovery, ShardStats, DEFAULT_MARGIN_WINDOW,
+    FLEET_MANIFEST_VERSION, ROUTER_MANIFEST_VERSION,
 };
 pub use grafics_cluster::{ClusterError, Prediction};
 pub use grafics_types::{DurabilityPolicy, RefreshTrigger};
+pub use route::{RouteIndex, Router, RouterKind};
 pub use server::{record_rng, GraficsServer, ServeCounters};
 // The serving knobs live with their stages; re-export so serving tiers
 // need only this crate.

@@ -8,7 +8,7 @@
 //!                            │
 //!                   ┌────────▼────────┐
 //!                   │  RouterServer   │  auth · rate limit · metrics
-//!                   │  RouteIndex     │  mirror of /v1/route_table
+//!                   │  RouteIndex     │  built from /v1/route_table
 //!                   │  health prober  │  Up / Degraded / Down
 //!                   │  circuit breaker│  per backend
 //!                   └──┬─────┬─────┬──┘
@@ -19,10 +19,9 @@
 //! # Bit-identical proxying
 //!
 //! The router mirrors each backend's `GET /v1/route_table` (published AP
-//! inventory + weight function per building) and reproduces the fleet
-//! router's decision *exactly* — same strict-greater comparison, same
-//! ascending-building-id tie-break, same `f64` accumulation order for
-//! weighted overlap. A routed record is forwarded with its original RNG
+//! inventory + weight function per building) into the same
+//! [`RouteIndex`] the fleet routes with, so it makes the fleet's
+//! decision *exactly*. A routed record is forwarded with its original RNG
 //! stream index (`index`/`indices` on the infer endpoints), so a proxied
 //! fleet answers **bit-for-bit** what a single process holding every
 //! shard would answer. Cross-backend fallback merges per-backend
@@ -48,8 +47,8 @@ use crate::api::{
 use crate::client::HttpClient;
 use crate::health::{probe_healthz, BackendStatus};
 use crate::http::{self, Limits, Request};
-use grafics_core::{FleetStats, RouterKind, RouterManifest, ShardStats, WeightFunction};
-use grafics_types::{BackendState, HealthPolicy, SignalRecord};
+use grafics_core::{FleetStats, RouteIndex, RouterKind, RouterManifest, ShardStats};
+use grafics_types::{BackendState, BuildingId, HealthPolicy, MacAddr, SignalRecord};
 use serde::Serialize;
 use std::collections::{BTreeMap, HashMap};
 use std::io::{BufReader, BufWriter};
@@ -103,87 +102,30 @@ struct Backend {
     pool: Mutex<Vec<HttpClient>>,
 }
 
-/// One building's row in the mirrored routing inventory.
-#[derive(Debug, Clone, Copy)]
-struct BuildingRoute {
-    building: u32,
-    backend: usize,
-    weight: WeightFunction,
-}
-
-/// The router's mirror of the fleet routing state: which backend owns
-/// which building, and the MAC inventory the fleet router scores with.
-/// Rebuilt wholesale whenever any backend's table is (re)fetched.
+/// The router's mirror of the fleet routing state: the fleet's own
+/// [`RouteIndex`], built from the fetched `/v1/route_table` entries, plus
+/// the backend owning each of its slots. Rebuilt wholesale whenever any
+/// backend's table is (re)fetched.
 #[derive(Default)]
-struct RouteIndex {
-    kind: Option<RouterKind>,
-    /// Ascending by building id — scan order *is* the tie-break.
-    buildings: Vec<BuildingRoute>,
-    /// MAC → slots into `buildings` (ascending, since inserted in order).
-    mac_map: HashMap<u64, Vec<u32>>,
+struct RouteMirror {
+    /// The merged table (what `GET /v1/route_table` answers) and its
+    /// index; `None` until some backend's table has been learned.
+    learned: Option<(RouteTableBody, RouteIndex)>,
+    /// Owning backend per index slot.
+    owners: Vec<usize>,
 }
 
-impl RouteIndex {
-    fn is_empty(&self) -> bool {
-        self.buildings.is_empty()
-    }
-
-    /// Reproduces `GraficsFleet`'s routing decision from the mirrored
-    /// inventory: strict-greater scan over ascending building ids, so
-    /// ties keep the lowest id — and for weighted overlap the per-slot
-    /// `f64` accumulation visits readings in record order, matching the
-    /// backend's summation order bit-for-bit. Returns a slot into
-    /// `buildings`.
+impl RouteMirror {
+    /// The backend owning the building `record` routes to.
     fn route(&self, record: &SignalRecord) -> Option<usize> {
-        match self.kind? {
-            RouterKind::Overlap => {
-                let mut counts: HashMap<u32, usize> = HashMap::new();
-                for mac in record.macs() {
-                    if let Some(slots) = self.mac_map.get(&mac.as_u64()) {
-                        for &slot in slots {
-                            *counts.entry(slot).or_insert(0) += 1;
-                        }
-                    }
-                }
-                let mut scored: Vec<(u32, usize)> = counts.into_iter().collect();
-                scored.sort_unstable_by_key(|&(slot, _)| slot);
-                let mut best: Option<(u32, usize)> = None;
-                for (slot, count) in scored {
-                    if count > 0 && best.is_none_or(|(_, b)| count > b) {
-                        best = Some((slot, count));
-                    }
-                }
-                best.map(|(slot, _)| slot as usize)
-            }
-            RouterKind::WeightedOverlap => {
-                let mut weights: HashMap<u32, f64> = HashMap::new();
-                for reading in record.readings() {
-                    if let Some(slots) = self.mac_map.get(&reading.mac.as_u64()) {
-                        for &slot in slots {
-                            let w = self.buildings[slot as usize].weight.weight(reading.rssi);
-                            *weights.entry(slot).or_insert(0.0) += w;
-                        }
-                    }
-                }
-                let mut scored: Vec<(u32, f64)> = weights.into_iter().collect();
-                scored.sort_unstable_by_key(|&(slot, _)| slot);
-                let mut best: Option<(u32, f64)> = None;
-                for (slot, weight) in scored {
-                    if weight > 0.0 && best.is_none_or(|(_, b)| weight > b) {
-                        best = Some((slot, weight));
-                    }
-                }
-                best.map(|(slot, _)| slot as usize)
-            }
-        }
+        let slot = self.learned.as_ref()?.1.route_slot(record)?;
+        Some(self.owners[slot])
     }
 
     /// The backend owning `building`, if any.
     fn owner_of(&self, building: u32) -> Option<usize> {
-        self.buildings
-            .binary_search_by_key(&building, |r| r.building)
-            .ok()
-            .map(|slot| self.buildings[slot].backend)
+        let slot = self.learned.as_ref()?.1.slot_of(BuildingId(building))?;
+        Some(self.owners[slot])
     }
 }
 
@@ -251,7 +193,7 @@ impl RateLimiter {
 pub struct RouterState {
     backends: Vec<Backend>,
     tables: Mutex<Vec<Option<RouteTableBody>>>,
-    index: RwLock<RouteIndex>,
+    index: RwLock<RouteMirror>,
     health: HealthPolicy,
     backend_timeout: Duration,
     retries: u32,
@@ -306,43 +248,36 @@ impl RouterState {
     /// Buildings currently in the mirrored route index.
     #[must_use]
     pub fn building_count(&self) -> usize {
-        self.index.read().unwrap().buildings.len()
+        self.index.read().unwrap().owners.len()
     }
 
     /// Rebuilds the route index from the stored tables. On a building
     /// claimed by several backends the lowest manifest index wins.
     fn rebuild_index(&self) {
         let tables = self.tables.lock().unwrap();
-        let mut kind: Option<RouterKind> = None;
-        let mut merged: BTreeMap<u32, (usize, WeightFunction, Vec<u64>)> = BTreeMap::new();
+        let mut router: Option<RouterKind> = None;
+        let mut merged: BTreeMap<u32, (usize, &RouteTableEntry)> = BTreeMap::new();
         for (backend, table) in tables.iter().enumerate() {
             let Some(table) = table else { continue };
-            kind.get_or_insert(table.router);
+            router.get_or_insert(table.router);
             for entry in &table.shards {
-                merged
-                    .entry(entry.building)
-                    .or_insert_with(|| (backend, entry.weight, entry.macs.clone()));
+                merged.entry(entry.building).or_insert((backend, entry));
             }
         }
+        let owners = merged.values().map(|(backend, _)| *backend).collect();
+        let learned = router.map(|router| {
+            let shards: Vec<RouteTableEntry> = merged.values().map(|(_, e)| (*e).clone()).collect();
+            let index = RouteIndex::new(
+                router,
+                shards.iter().map(|entry| {
+                    let macs = entry.macs.iter().map(|&mac| MacAddr::from_u64(mac));
+                    (BuildingId(entry.building), entry.weight, macs)
+                }),
+            );
+            (RouteTableBody { router, shards }, index)
+        });
         drop(tables);
-        let mut buildings = Vec::with_capacity(merged.len());
-        let mut mac_map: HashMap<u64, Vec<u32>> = HashMap::new();
-        for (building, (backend, weight, macs)) in merged {
-            let slot = buildings.len() as u32;
-            buildings.push(BuildingRoute {
-                building,
-                backend,
-                weight,
-            });
-            for mac in macs {
-                mac_map.entry(mac).or_default().push(slot);
-            }
-        }
-        *self.index.write().unwrap() = RouteIndex {
-            kind,
-            buildings,
-            mac_map,
-        };
+        *self.index.write().unwrap() = RouteMirror { learned, owners };
     }
 
     /// One raw request to backend `idx` over a pooled connection. The
@@ -722,7 +657,7 @@ fn metrics(state: &RouterState) -> Resp {
 
 fn stat(state: &RouterState) -> Resp {
     let mut shards: Vec<ShardStats> = Vec::new();
-    let mut degraded = state.index.read().unwrap().is_empty();
+    let mut degraded = state.index.read().unwrap().owners.is_empty();
     for idx in 0..state.backends.len() {
         if !state.backends[idx].status.routable() {
             degraded = true;
@@ -766,26 +701,10 @@ fn stat(state: &RouterState) -> Resp {
 }
 
 fn route_table(state: &RouterState) -> Resp {
-    let index = state.index.read().unwrap();
-    let Some(kind) = index.kind else {
-        return Resp::error(503, "route table not yet learned from any backend").degraded();
-    };
-    let tables = state.tables.lock().unwrap();
-    let mut merged: BTreeMap<u32, RouteTableEntry> = BTreeMap::new();
-    for table in tables.iter().flatten() {
-        for entry in &table.shards {
-            merged
-                .entry(entry.building)
-                .or_insert_with(|| entry.clone());
-        }
+    match &state.index.read().unwrap().learned {
+        Some((table, _)) => Resp::json(200, table),
+        None => Resp::error(503, "route table not yet learned from any backend").degraded(),
     }
-    Resp::json(
-        200,
-        &RouteTableBody {
-            router: kind,
-            shards: merged.into_values().collect(),
-        },
-    )
 }
 
 fn infer(state: &RouterState, body: &[u8]) -> Resp {
@@ -798,12 +717,7 @@ fn infer(state: &RouterState, body: &[u8]) -> Resp {
         Err(e) => return Resp::from_api(e),
     };
     let fallback = req.fallback.unwrap_or(false);
-    let routed_backend = {
-        let index = state.index.read().unwrap();
-        index
-            .route(&record)
-            .map(|slot| index.buildings[slot].backend)
-    };
+    let routed_backend = state.index.read().unwrap().route(&record);
     let raw = std::str::from_utf8(body).unwrap_or("{}");
     match routed_backend {
         Some(idx) => match state.call_idempotent(idx, "POST", "/v1/infer", Some(raw)) {
@@ -844,7 +758,7 @@ fn scatter_infer(state: &RouterState, record: &SignalRecord, req: &InferRequest)
     let Ok(sub_body) = serde_json::to_string(&sub) else {
         return Resp::error(500, "could not serialize scatter request");
     };
-    let mut degraded = state.index.read().unwrap().is_empty();
+    let mut degraded = state.index.read().unwrap().owners.is_empty();
     let answers: Vec<Option<(u16, String)>> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..state.backends.len())
             .map(|idx| {
@@ -935,13 +849,12 @@ fn infer_batch(state: &RouterState, body: &[u8]) -> Resp {
     // fallback) positions go to the scatter list.
     let mut groups: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
     let mut scatter: Vec<usize> = Vec::new();
-    let mut degraded = state.index.read().unwrap().is_empty();
+    let mut degraded = state.index.read().unwrap().owners.is_empty();
     {
         let index = state.index.read().unwrap();
         for (pos, record) in records.iter().enumerate() {
             match index.route(record) {
-                Some(slot) => {
-                    let backend = index.buildings[slot].backend;
+                Some(backend) => {
                     if state.backends[backend].status.routable() {
                         groups.entry(backend).or_default().push(pos);
                     } else {
@@ -1108,9 +1021,7 @@ fn absorb(state: &RouterState, body: &[u8]) -> Resp {
                 Some(backend) => Some(backend),
                 None => return Resp::error(404, &format!("no shard for building b{b}")),
             },
-            None => index
-                .route(&record)
-                .map(|slot| index.buildings[slot].backend),
+            None => index.route(&record),
         }
     };
     let Some(idx) = target else {
@@ -1169,7 +1080,7 @@ fn publish(state: &RouterState, body: &[u8]) -> Resp {
     }
     // Fleet-wide publish: one single-shot publish per live backend.
     let mut epochs: Vec<EpochBody> = Vec::new();
-    let mut degraded = state.index.read().unwrap().is_empty();
+    let mut degraded = state.index.read().unwrap().owners.is_empty();
     for idx in 0..state.backends.len() {
         match state.call_write(idx, "/v1/publish", Some("{}")) {
             Ok((200, resp)) => match serde_json::from_str::<PublishBody>(&resp) {
@@ -1309,7 +1220,7 @@ impl RouterServer {
         let state = Arc::new(RouterState {
             backends,
             tables,
-            index: RwLock::new(RouteIndex::default()),
+            index: RwLock::new(RouteMirror::default()),
             health: config.manifest.health,
             backend_timeout: config.backend_timeout,
             retries: config.retries,
@@ -1547,64 +1458,6 @@ fn handle_connection(
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn index_of(kind: RouterKind, entries: &[(u32, usize, &[u64])]) -> RouteIndex {
-        let mut buildings = Vec::new();
-        let mut mac_map: HashMap<u64, Vec<u32>> = HashMap::new();
-        for &(building, backend, macs) in entries {
-            let slot = buildings.len() as u32;
-            buildings.push(BuildingRoute {
-                building,
-                backend,
-                weight: WeightFunction::default(),
-            });
-            for &m in macs {
-                mac_map.entry(m).or_default().push(slot);
-            }
-        }
-        RouteIndex {
-            kind: Some(kind),
-            buildings,
-            mac_map,
-        }
-    }
-
-    fn record(macs: &[u64]) -> SignalRecord {
-        use grafics_types::{MacAddr, Reading, Rssi};
-        SignalRecord::new(
-            macs.iter()
-                .map(|&m| Reading {
-                    mac: MacAddr::from_u64(m),
-                    rssi: Rssi::new(-60.0).unwrap(),
-                })
-                .collect(),
-        )
-        .unwrap()
-    }
-
-    #[test]
-    fn overlap_routing_prefers_more_macs_then_lowest_building() {
-        let index = index_of(
-            RouterKind::Overlap,
-            &[(2, 0, &[1, 2, 3]), (7, 1, &[3, 4, 5])],
-        );
-        // Two overlaps with b7, one with b2.
-        let slot = index.route(&record(&[3, 4, 9])).unwrap();
-        assert_eq!(index.buildings[slot].building, 7);
-        // Equal overlap (mac 3 hits both): the lowest building id wins.
-        let slot = index.route(&record(&[3, 9])).unwrap();
-        assert_eq!(index.buildings[slot].building, 2);
-        // No overlap at all: no route.
-        assert!(index.route(&record(&[77, 78])).is_none());
-    }
-
-    #[test]
-    fn owner_lookup_is_by_building_id() {
-        let index = index_of(RouterKind::Overlap, &[(2, 0, &[1]), (7, 1, &[4])]);
-        assert_eq!(index.owner_of(7), Some(1));
-        assert_eq!(index.owner_of(2), Some(0));
-        assert_eq!(index.owner_of(3), None);
-    }
 
     #[test]
     fn rate_limiter_throttles_then_refills() {

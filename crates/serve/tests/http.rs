@@ -12,9 +12,9 @@ use grafics_core::{
 use grafics_data::BuildingModel;
 use grafics_serve::{
     AbsorbBody, BatchBody, HealthBody, HttpClient, HttpServer, PredictionBody, PublishBody,
-    RunningServer, ServeConfig,
+    RouteTableBody, RunningServer, ServeConfig,
 };
-use grafics_types::{BuildingId, SignalRecord};
+use grafics_types::{BuildingId, MacAddr, Reading, Rssi, SignalRecord};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use std::sync::OnceLock;
@@ -232,6 +232,89 @@ fn rejects_bad_requests_with_the_right_statuses() {
         )
         .unwrap();
     assert_eq!(status, 422, "{body}");
+    server.shutdown().unwrap();
+}
+
+/// A body nested far past the JSON depth limit is a 400, not a stack
+/// overflow, and the same server then answers a normal infer.
+#[test]
+fn deeply_nested_json_is_rejected_and_the_server_keeps_serving() {
+    let (_, queries) = fixture();
+    let server = spawn(build_fleet(), ServeConfig::default());
+    let mut client = HttpClient::connect(server.addr()).unwrap();
+    for deep in [
+        "[".repeat(200_000),
+        format!("{{\"record\":{}", "{\"a\":".repeat(100_000)),
+    ] {
+        let (status, body) = client.post("/v1/infer", &deep).unwrap();
+        assert_eq!(status, 400, "{body}");
+        assert!(body.contains("nesting deeper than 128"), "{body}");
+    }
+    let body = format!(
+        "{{\"record\":{},\"seed\":1}}",
+        serde_json::to_string(&queries[0]).unwrap()
+    );
+    let (status, body) = client.post("/v1/infer", &body).unwrap();
+    assert!(status == 200 || status == 422, "{status} {body}");
+    let (status, _) = client.get("/healthz").unwrap();
+    assert_eq!(status, 200);
+    server.shutdown().unwrap();
+}
+
+/// Staleness: once an absorb that teaches building 1 a new MAC is
+/// published, the route table lists the MAC and a scan of only that MAC
+/// routes there — the fleet's cached route index was rebuilt.
+#[test]
+fn published_new_mac_reaches_route_table_and_routing() {
+    let (_, queries) = fixture();
+    let fleet = build_fleet();
+    let home = queries
+        .iter()
+        .find(|q| fleet.route(q) == Some(BuildingId(1)))
+        .unwrap();
+    let fresh = MacAddr::from_u64(0x00ab_cdef_0123);
+    let mut readings = home.readings().to_vec();
+    readings.push(Reading {
+        mac: fresh,
+        rssi: Rssi::new(-45.0).unwrap(),
+    });
+    let carrier = SignalRecord::new(readings).unwrap();
+    let only_fresh = SignalRecord::new(vec![Reading {
+        mac: fresh,
+        rssi: Rssi::new(-45.0).unwrap(),
+    }])
+    .unwrap();
+    let infer_fresh = format!(
+        "{{\"record\":{},\"seed\":3}}",
+        serde_json::to_string(&only_fresh).unwrap()
+    );
+    let lists_fresh = |client: &mut HttpClient| {
+        let (status, body) = client.get("/v1/route_table").unwrap();
+        assert_eq!(status, 200, "{body}");
+        let table: RouteTableBody = serde_json::from_str(&body).unwrap();
+        table.shards[1].macs.contains(&fresh.as_u64())
+    };
+
+    let server = spawn(fleet, ServeConfig::default());
+    let mut client = HttpClient::connect(server.addr()).unwrap();
+    assert!(!lists_fresh(&mut client));
+    let (status, body) = client.post("/v1/infer", &infer_fresh).unwrap();
+    assert_eq!(status, 422, "{body}");
+
+    let body = format!(
+        "{{\"record\":{},\"building\":1}}",
+        serde_json::to_string(&carrier).unwrap()
+    );
+    let (status, body) = client.post("/v1/absorb", &body).unwrap();
+    assert_eq!(status, 200, "{body}");
+    let (status, body) = client.post("/v1/publish", "").unwrap();
+    assert_eq!(status, 200, "{body}");
+
+    assert!(lists_fresh(&mut client));
+    let (status, body) = client.post("/v1/infer", &infer_fresh).unwrap();
+    assert_eq!(status, 200, "{body}");
+    let pred: PredictionBody = serde_json::from_str(&body).unwrap();
+    assert_eq!(pred.building, 1);
     server.shutdown().unwrap();
 }
 
