@@ -1,8 +1,8 @@
 //! Extension experiment: GRAFICS (no AP locations) against the related
-//! work that *requires* them. The ViFi-style baseline (§II [29]) gets the
+//! work that *requires* them. The ViFi-style baseline (§II \[29\]) gets the
 //! simulator's true AP map — oracle information no crowdsourced system
-//! has — plus the same labelled samples; HELM and SVM-OvO (§II [16],
-//! [12]) get the standard matrix inputs. GRAFICS matching the oracle
+//! has — plus the same labelled samples; HELM and SVM-OvO (§II \[16\],
+//! \[12\]) get the standard matrix inputs. GRAFICS matching the oracle
 //! while using strictly less information is the strongest form of the
 //! paper's "independent of AP locations" claim.
 

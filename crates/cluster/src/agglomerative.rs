@@ -339,7 +339,7 @@ fn fill_rows(points: &RowMatrix<f64>, row_range: std::ops::Range<usize>, chunk: 
 /// matrix of Eq. (11): entry `a*(a-1)/2 + b` holds `‖points[a] −
 /// points[b]‖₂` for `b < a`. The input is the workspace's contiguous
 /// [`RowMatrix`] (one flat buffer, no per-row pointer chasing), and the
-/// build is cache-blocked (see [`fill_rows`]) — per-pair math unchanged,
+/// build is cache-blocked (see `fill_rows`) — per-pair math unchanged,
 /// so entries are bit-identical to the historical row-by-row build.
 ///
 /// With `threads >= 2` the rows are partitioned into contiguous bands of

@@ -461,7 +461,7 @@ fn quantile_rank(n: usize, q: f64) -> usize {
 
 /// One building's double-buffered model: a frozen published snapshot
 /// serving reads with `&self`, and a mutex-guarded write side absorbing
-/// records under a [`RetentionPolicy`]. See the [module docs](self).
+/// records under a [`RetentionPolicy`]. See the `fleet` module docs.
 pub struct Shard {
     id: BuildingId,
     /// The published snapshot. The read lock is held only long enough to
@@ -1005,7 +1005,7 @@ impl Shard {
 
 /// A sharded serving fleet: one [`Shard`] per building plus a
 /// [`RouteIndex`] over their published snapshots.
-/// See the [module docs](self) for the architecture.
+/// See the `fleet` module docs for the architecture.
 ///
 /// # Examples
 ///

@@ -257,20 +257,12 @@ pub fn bearer_token_matches(authorization: &str, token: &str) -> bool {
     diff == 0
 }
 
-/// Routes one request to its handler. Unknown paths get 404; known paths
-/// with the wrong method get 405.
-#[must_use]
-pub fn dispatch(state: &FleetState, method: &str, path: &str, body: &[u8]) -> ApiResult {
-    let mut out = String::new();
-    let (status, _content_type) = dispatch_into(state, method, path, body, &mut out);
-    (status, out)
-}
-
-/// [`dispatch`] into a caller-owned response buffer (cleared first): a
-/// worker reuses one buffer across every request of a keep-alive
-/// connection, so the hot serving endpoints allocate no response string
-/// per request. Returns `(status, content type)`. Also feeds the
-/// per-endpoint counters behind `/metrics`.
+/// Routes one request to its handler, writing the response into a
+/// caller-owned buffer (cleared first): a worker reuses one buffer across
+/// every request of a keep-alive connection, so the hot serving endpoints
+/// allocate no response string per request. Returns `(status, content
+/// type)`. Unknown paths get 404; known paths with the wrong method get
+/// 405. Also feeds the per-endpoint counters behind `/metrics`.
 #[must_use]
 pub fn dispatch_into(
     state: &FleetState,

@@ -82,9 +82,12 @@ impl RequestError {
     }
 }
 
-/// Reads one request off a keep-alive connection. `Ok(None)` means the
-/// peer closed (or went idle past the read timeout) *between* requests —
-/// a clean end of the connection, nothing to answer.
+/// Reads one request off a keep-alive connection into caller-owned
+/// buffers: `req`'s head, method, path, and body are cleared and refilled,
+/// so a keep-alive connection parses every request into the same
+/// allocations. `Ok(false)` means the peer closed (or went idle past the
+/// read timeout) *between* requests — a clean end of the connection,
+/// nothing to answer.
 ///
 /// `writer` is needed for the interim `100 Continue` response: clients
 /// like `curl` pause before sending larger bodies until the server waves
@@ -94,24 +97,6 @@ impl RequestError {
 ///
 /// See [`RequestError`]; [`RequestError::response`] maps each variant to
 /// the status to answer with.
-pub fn read_request<R: BufRead, W: Write>(
-    reader: &mut R,
-    writer: &mut W,
-    limits: &Limits,
-) -> Result<Option<Request>, RequestError> {
-    let mut req = Request::new();
-    Ok(read_request_into(reader, writer, limits, &mut req)?.then_some(req))
-}
-
-/// [`read_request`] into caller-owned buffers: `req`'s head, method,
-/// path, and body are cleared and refilled, so a keep-alive connection
-/// parses every request into the same allocations. Returns `Ok(false)`
-/// on a clean close between requests (the `Ok(None)` of
-/// [`read_request`]).
-///
-/// # Errors
-///
-/// See [`RequestError`].
 pub fn read_request_into<R: BufRead, W: Write>(
     reader: &mut R,
     writer: &mut W,
@@ -293,26 +278,11 @@ pub fn write_response<W: Write>(
     body: &str,
     keep_alive: bool,
 ) -> std::io::Result<()> {
-    write_response_typed(writer, status, "application/json", body, keep_alive)
+    write_response_extra(writer, status, "application/json", &[], body, keep_alive)
 }
 
 /// [`write_response`] with an explicit `Content-Type` (the `/metrics`
-/// endpoint answers plaintext).
-///
-/// # Errors
-///
-/// Propagates the underlying IO error (the connection is then dropped).
-pub fn write_response_typed<W: Write>(
-    writer: &mut W,
-    status: u16,
-    content_type: &str,
-    body: &str,
-    keep_alive: bool,
-) -> std::io::Result<()> {
-    write_response_extra(writer, status, content_type, &[], body, keep_alive)
-}
-
-/// [`write_response_typed`] with extra response headers, each a
+/// endpoint answers plaintext) and extra response headers, each a
 /// `(name, value)` pair — e.g. the `Retry-After` hint on a 429.
 ///
 /// # Errors
@@ -353,11 +323,9 @@ mod tests {
 
     fn parse(raw: &str) -> Result<Option<Request>, RequestError> {
         let mut sink = Vec::new();
-        read_request(
-            &mut Cursor::new(raw.as_bytes().to_vec()),
-            &mut sink,
-            &LIMITS,
-        )
+        let mut req = Request::new();
+        let mut reader = Cursor::new(raw.as_bytes().to_vec());
+        Ok(read_request_into(&mut reader, &mut sink, &LIMITS, &mut req)?.then_some(req))
     }
 
     #[test]

@@ -41,11 +41,15 @@
 //!                 │ bounded ConnQueue (backpressure)
 //!        ┌────────┼──────────┐
 //!    worker₁  worker₂ …  workerₙ     each: keep-alive request loop
-//!        │        │          │        → api::dispatch → GraficsFleet
+//!        │        │          │        → api::dispatch_meta → GraficsFleet
 //!        └────────┴──────────┘
 //!    MaintenanceDaemon: publish after N absorbs / T secs,
 //!                       refresh write side every K publishes
 //! ```
+//!
+//! The accept loop, queue, worker pool, request loop, and drain are one
+//! transport core shared with the [`RouterServer`]; each server supplies
+//! only what to answer for a parsed request.
 //!
 //! Graceful shutdown ([`ServerHandle::shutdown`], or SIGINT/SIGTERM when
 //! [`ServeConfig::handle_signals`] is set) stops accepting, answers
@@ -77,7 +81,7 @@
 //! running.shutdown().unwrap();
 //! ```
 
-#![deny(unsafe_code)] // one documented exception: the SIGINT hook in `server::sig`
+#![deny(unsafe_code)] // one documented exception: the SIGINT hook in `transport::sig`
 #![warn(missing_docs)]
 
 pub mod api;
@@ -89,6 +93,7 @@ pub mod http;
 pub mod router;
 mod server;
 mod state;
+mod transport;
 
 pub use api::{
     AbsorbBody, BatchBody, EpochBody, HealthBody, PredictionBody, PublishBody, RequestMeta,
@@ -101,5 +106,6 @@ pub use health::{BackendStatus, Breaker, ProbeOutcome};
 pub use router::{
     RouterConfig, RouterHandle, RouterReport, RouterRunning, RouterServer, RouterState,
 };
-pub use server::{HttpServer, RunningServer, ServeConfig, ServeReport, ServerHandle};
+pub use server::{HttpServer, RunningServer, ServeConfig, ServeReport};
 pub use state::{CadenceSignal, FleetState};
+pub use transport::{Running, ServerHandle};

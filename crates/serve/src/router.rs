@@ -46,16 +46,26 @@ use crate::api::{
 };
 use crate::client::HttpClient;
 use crate::health::{probe_healthz, BackendStatus};
-use crate::http::{self, Limits, Request};
+use crate::http::{Limits, Request};
+use crate::transport::{self, Reply, Running, ServerHandle, Service, Transport};
 use grafics_core::{FleetStats, RouteIndex, RouterKind, RouterManifest, ShardStats};
 use grafics_types::{BackendState, BuildingId, HealthPolicy, MacAddr, SignalRecord};
 use serde::Serialize;
 use std::collections::{BTreeMap, HashMap};
-use std::io::{BufReader, BufWriter};
-use std::net::{IpAddr, Ipv4Addr, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{IpAddr, SocketAddr, TcpListener, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 use std::time::{Duration, Instant};
+
+/// Worker threads serving client connections, each one keep-alive
+/// connection at a time. The router mostly waits on backends, so it
+/// keeps more workers than the CPU-bound [`crate::ServeConfig`] default;
+/// connections beyond this wait in the accept queue.
+pub const WORKERS: usize = 32;
+
+/// Bounded depth of the router's accepted-connection queue; when full,
+/// the accept loop leaves further connections in the listener backlog.
+const QUEUE_DEPTH: usize = 64;
 
 /// Router-tier configuration: the manifest (backends + policies) plus
 /// transport tuning.
@@ -200,7 +210,7 @@ pub struct RouterState {
     backoff_base: Duration,
     auth_token: Option<String>,
     limiter: Option<RateLimiter>,
-    shutdown: AtomicBool,
+    shutdown: Arc<AtomicBool>,
     requests: AtomicU64,
     rate_limited: AtomicU64,
     degraded_responses: AtomicU64,
@@ -426,8 +436,8 @@ impl Resp {
         Resp::passthrough(status, body)
     }
 
-    fn degraded(mut self) -> Resp {
-        self.degraded = true;
+    fn degraded(mut self, degraded: bool) -> Resp {
+        self.degraded = degraded;
         self
     }
 }
@@ -685,25 +695,21 @@ fn stat(state: &RouterState) -> Resp {
             transitions: b.status.transition_count(),
         })
         .collect();
-    let resp = Resp::json(
+    Resp::json(
         200,
         &RouterStatBody {
             shards,
             backends,
             degraded,
         },
-    );
-    if degraded {
-        resp.degraded()
-    } else {
-        resp
-    }
+    )
+    .degraded(degraded)
 }
 
 fn route_table(state: &RouterState) -> Resp {
     match &state.index.read().unwrap().learned {
         Some((table, _)) => Resp::json(200, table),
-        None => Resp::error(503, "route table not yet learned from any backend").degraded(),
+        None => Resp::error(503, "route table not yet learned from any backend").degraded(true),
     }
 }
 
@@ -728,10 +734,11 @@ fn infer(state: &RouterState, body: &[u8]) -> Resp {
                 503,
                 &format!("{}; its shards are excluded", state.refusal(idx)),
             )
-            .degraded(),
+            .degraded(true),
             Err(CallError::Transport(_)) if fallback => scatter_infer(state, &record, &req),
             Err(CallError::Transport(e)) => {
-                Resp::error(502, &format!("{} failed: {e}", backend_name(state, idx))).degraded()
+                Resp::error(502, &format!("{} failed: {e}", backend_name(state, idx)))
+                    .degraded(true)
             }
         },
         None if fallback => scatter_infer(state, &record, &req),
@@ -802,16 +809,9 @@ fn scatter_infer(state: &RouterState, record: &SignalRecord, req: &InferRequest)
         }
     }
     match best {
-        Some((_, _, body)) => {
-            let resp = Resp::passthrough(200, body);
-            if degraded {
-                resp.degraded()
-            } else {
-                resp
-            }
-        }
+        Some((_, _, body)) => Resp::passthrough(200, body).degraded(degraded),
         None if degraded => {
-            Resp::error(503, "no live backend could answer the fallback broadcast").degraded()
+            Resp::error(503, "no live backend could answer the fallback broadcast").degraded(true)
         }
         None => Resp::error(422, "record overlaps no building in the fleet; discarded"),
     }
@@ -990,19 +990,15 @@ fn infer_batch(state: &RouterState, body: &[u8]) -> Resp {
     }
 
     let served = slots.iter().flatten().count();
-    let resp = Resp::json(
+    Resp::json(
         200,
         &BatchBody {
             predictions: slots,
             served,
             degraded,
         },
-    );
-    if degraded {
-        resp.degraded()
-    } else {
-        resp
-    }
+    )
+    .degraded(degraded)
 }
 
 fn absorb(state: &RouterState, body: &[u8]) -> Resp {
@@ -1035,7 +1031,7 @@ fn absorb(state: &RouterState, body: &[u8]) -> Resp {
             503,
             &format!("{}; absorb not attempted — resend is safe", state.refusal(idx)),
         )
-        .degraded(),
+        .degraded(true),
         // Fail fast, state UNKNOWN: the request may have been applied
         // before the connection died. Never blindly resent.
         Err(CallError::Transport(e)) => Resp::error(
@@ -1045,7 +1041,7 @@ fn absorb(state: &RouterState, body: &[u8]) -> Resp {
                 backend_name(state, idx)
             ),
         )
-        .degraded(),
+        .degraded(true),
     }
 }
 
@@ -1070,12 +1066,12 @@ fn publish(state: &RouterState, body: &[u8]) -> Resp {
                 503,
                 &format!("{}; publish not attempted", state.refusal(idx)),
             )
-            .degraded(),
+            .degraded(true),
             Err(CallError::Transport(e)) => Resp::error(
                 502,
                 &format!("{} failed mid-publish: {e}", backend_name(state, idx)),
             )
-            .degraded(),
+            .degraded(true),
         };
     }
     // Fleet-wide publish: one single-shot publish per live backend.
@@ -1091,12 +1087,7 @@ fn publish(state: &RouterState, body: &[u8]) -> Resp {
         }
     }
     epochs.sort_by_key(|e| e.building);
-    let resp = Resp::json(200, &RouterPublishBody { epochs, degraded });
-    if degraded {
-        resp.degraded()
-    } else {
-        resp
-    }
+    Resp::json(200, &RouterPublishBody { epochs, degraded }).degraded(degraded)
 }
 
 /// The bound-but-not-yet-running router (mirrors [`crate::HttpServer`]).
@@ -1108,17 +1099,7 @@ pub struct RouterServer {
 }
 
 /// Shutdown handle for a running router.
-#[derive(Clone)]
-pub struct RouterHandle {
-    state: Arc<RouterState>,
-}
-
-impl RouterHandle {
-    /// Asks the router to stop accepting and drain.
-    pub fn shutdown(&self) {
-        self.state.shutdown.store(true, Ordering::SeqCst);
-    }
-}
+pub type RouterHandle = ServerHandle;
 
 /// What [`RouterServer::run`] reports after a graceful shutdown.
 #[derive(Debug, Clone, Copy)]
@@ -1128,33 +1109,9 @@ pub struct RouterReport {
 }
 
 /// A router running on its own thread (from [`RouterServer::spawn`]).
-pub struct RouterRunning {
-    addr: SocketAddr,
-    handle: RouterHandle,
-    state: Arc<RouterState>,
-    thread: std::thread::JoinHandle<std::io::Result<RouterReport>>,
-}
+pub type RouterRunning = Running<RouterState, RouterReport>;
 
 impl RouterRunning {
-    /// The bound listener address.
-    #[must_use]
-    pub fn addr(&self) -> SocketAddr {
-        self.addr
-    }
-
-    /// A cloneable shutdown handle.
-    #[must_use]
-    pub fn handle(&self) -> RouterHandle {
-        self.handle.clone()
-    }
-
-    /// The shared router state (health/breaker/counters, for tests and
-    /// embedding).
-    #[must_use]
-    pub fn state(&self) -> &Arc<RouterState> {
-        &self.state
-    }
-
     /// Polls until the mirrored route index holds at least `buildings`
     /// buildings; `false` on timeout. Call after spawn so the first
     /// requests do not race the initial table fetch.
@@ -1162,24 +1119,12 @@ impl RouterRunning {
     pub fn wait_for_buildings(&self, buildings: usize, timeout: Duration) -> bool {
         let deadline = Instant::now() + timeout;
         while Instant::now() < deadline {
-            if self.state.building_count() >= buildings {
+            if self.state().building_count() >= buildings {
                 return true;
             }
             std::thread::sleep(Duration::from_millis(5));
         }
-        self.state.building_count() >= buildings
-    }
-
-    /// Graceful shutdown: stop accepting, drain, join.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the run loop's IO error.
-    pub fn shutdown(self) -> std::io::Result<RouterReport> {
-        self.handle.shutdown();
-        self.thread
-            .join()
-            .map_err(|_| std::io::Error::other("router thread panicked"))?
+        self.state().building_count() >= buildings
     }
 }
 
@@ -1227,7 +1172,7 @@ impl RouterServer {
             backoff_base: config.backoff_base,
             auth_token: config.manifest.auth_token.clone(),
             limiter,
-            shutdown: AtomicBool::new(false),
+            shutdown: Arc::new(AtomicBool::new(false)),
             requests: AtomicU64::new(0),
             rate_limited: AtomicU64::new(0),
             degraded_responses: AtomicU64::new(0),
@@ -1235,8 +1180,7 @@ impl RouterServer {
             backend_retries: AtomicU64::new(0),
             started: Instant::now(),
         });
-        let listener = TcpListener::bind(addr)?;
-        listener.set_nonblocking(true)?;
+        let listener = transport::bind(addr)?;
         let addr = listener.local_addr()?;
         Ok(RouterServer {
             listener,
@@ -1255,9 +1199,7 @@ impl RouterServer {
     /// A shutdown handle usable before/while `run` executes.
     #[must_use]
     pub fn handle(&self) -> RouterHandle {
-        RouterHandle {
-            state: Arc::clone(&self.state),
-        }
+        ServerHandle::new(&self.state.shutdown)
     }
 
     /// The shared router state.
@@ -1266,44 +1208,27 @@ impl RouterServer {
         Arc::clone(&self.state)
     }
 
-    /// Runs the prober and the accept loop until shutdown.
+    /// Runs the prober and the shared transport until shutdown, then
+    /// drains: idle keep-alive connections close at once, in-flight
+    /// requests are answered, workers and the prober are joined.
     ///
     /// # Errors
     ///
-    /// Fatal listener errors (per-connection errors are contained).
+    /// None today (per-connection errors are contained).
     pub fn run(self) -> std::io::Result<RouterReport> {
         let state = self.state;
         let prober_state = Arc::clone(&state);
         let prober = std::thread::spawn(move || prober_loop(&prober_state));
-        let limits = Limits {
-            max_head_bytes: self.config.max_head_bytes,
-            max_body_bytes: self.config.max_body_bytes,
+        let pool = Transport {
+            workers: WORKERS,
+            queue_depth: QUEUE_DEPTH,
+            limits: Limits {
+                max_head_bytes: self.config.max_head_bytes,
+                max_body_bytes: self.config.max_body_bytes,
+            },
+            read_timeout: self.config.read_timeout,
         };
-        let read_timeout = self.config.read_timeout;
-        let mut workers: Vec<std::thread::JoinHandle<()>> = Vec::new();
-        while !state.shutdown.load(Ordering::SeqCst) {
-            match self.listener.accept() {
-                Ok((stream, _)) => {
-                    let conn_state = Arc::clone(&state);
-                    workers.push(std::thread::spawn(move || {
-                        handle_connection(stream, &conn_state, limits, read_timeout);
-                    }));
-                    workers.retain(|w| !w.is_finished());
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(Duration::from_millis(2));
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-                Err(e) => {
-                    state.shutdown.store(true, Ordering::SeqCst);
-                    let _ = prober.join();
-                    return Err(e);
-                }
-            }
-        }
-        for worker in workers {
-            let _ = worker.join();
-        }
+        transport::run(&self.listener, &pool, &state.shutdown, &*state);
         let _ = prober.join();
         Ok(RouterReport {
             requests: state.request_count(),
@@ -1316,16 +1241,8 @@ impl RouterServer {
     ///
     /// None today (the signature allows spawn-time checks to grow).
     pub fn spawn(self) -> std::io::Result<RouterRunning> {
-        let addr = self.addr;
-        let handle = self.handle();
-        let state = self.state();
-        let thread = std::thread::spawn(move || self.run());
-        Ok(RouterRunning {
-            addr,
-            handle,
-            state,
-            thread,
-        })
+        let (addr, handle, state) = (self.addr, self.handle(), self.state());
+        Ok(Running::spawn(addr, handle, state, move || self.run()))
     }
 }
 
@@ -1369,88 +1286,38 @@ fn prober_loop(state: &Arc<RouterState>) {
     }
 }
 
-fn handle_connection(
-    stream: TcpStream,
-    state: &Arc<RouterState>,
-    limits: Limits,
-    read_timeout: Duration,
-) {
-    let peer = stream
-        .peer_addr()
-        .map_or(IpAddr::V4(Ipv4Addr::UNSPECIFIED), |a| a.ip());
-    let _ = stream.set_nodelay(true);
-    let _ = stream.set_read_timeout(Some(read_timeout));
-    let Ok(read_half) = stream.try_clone() else {
-        return;
-    };
-    let mut reader = BufReader::new(read_half);
-    let mut writer = BufWriter::new(stream);
-    let mut req = Request::new();
-    loop {
-        if state.shutdown.load(Ordering::SeqCst) {
-            return;
+impl Service for RouterState {
+    fn count_request(&self) {
+        self.requests.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// The per-client rate limit (on `/v1/*` only), then the router's
+    /// endpoints; a degraded answer carries `X-Grafics-Degraded: true`.
+    fn dispatch(&self, req: &Request, peer: IpAddr, body: &mut String) -> Reply {
+        let limiter = self
+            .limiter
+            .as_ref()
+            .filter(|_| req.path.starts_with("/v1/"));
+        if let Some(Err(retry_after)) = limiter.map(|limiter| limiter.check(peer)) {
+            self.rate_limited.fetch_add(1, Ordering::Relaxed);
+            *body = Resp::error(429, "rate limit exceeded; slow down").body;
+            return Reply {
+                status: 429,
+                content_type: CONTENT_TYPE_JSON,
+                header: Some(("Retry-After", retry_after.to_string())),
+            };
         }
-        match http::read_request_into(&mut reader, &mut writer, &limits, &mut req) {
-            Ok(true) => {}
-            Ok(false) => return,
-            Err(e) => {
-                if let Some((status, message)) = e.response() {
-                    let body = serde_json::to_string(&serde_json::json!({ "error": message }))
-                        .unwrap_or_else(|_| "{}".to_owned());
-                    let _ = http::write_response(&mut writer, status, &body, false);
-                }
-                return;
-            }
-        }
-        state.requests.fetch_add(1, Ordering::Relaxed);
-        let keep_alive = req.keep_alive && !state.shutdown.load(Ordering::SeqCst);
-        if req.path.starts_with("/v1/") {
-            if let Some(limiter) = &state.limiter {
-                if let Err(retry_after) = limiter.check(peer) {
-                    state.rate_limited.fetch_add(1, Ordering::Relaxed);
-                    let body = serde_json::to_string(
-                        &serde_json::json!({ "error": "rate limit exceeded; slow down" }),
-                    )
-                    .unwrap_or_else(|_| "{}".to_owned());
-                    let retry = retry_after.to_string();
-                    if http::write_response_extra(
-                        &mut writer,
-                        429,
-                        CONTENT_TYPE_JSON,
-                        &[("Retry-After", retry.as_str())],
-                        &body,
-                        keep_alive,
-                    )
-                    .is_err()
-                        || !keep_alive
-                    {
-                        return;
-                    }
-                    continue;
-                }
-            }
-        }
-        let resp = dispatch_router(state, &req.method, &req.path, &req.body, &req.authorization);
+        let resp = dispatch_router(self, &req.method, &req.path, &req.body, &req.authorization);
         if resp.degraded {
-            state.degraded_responses.fetch_add(1, Ordering::Relaxed);
+            self.degraded_responses.fetch_add(1, Ordering::Relaxed);
         }
-        let extra: &[(&str, &str)] = if resp.degraded {
-            &[("X-Grafics-Degraded", "true")]
-        } else {
-            &[]
-        };
-        if http::write_response_extra(
-            &mut writer,
-            resp.status,
-            resp.content_type,
-            extra,
-            &resp.body,
-            keep_alive,
-        )
-        .is_err()
-            || !keep_alive
-        {
-            return;
+        *body = resp.body;
+        Reply {
+            status: resp.status,
+            content_type: resp.content_type,
+            header: resp
+                .degraded
+                .then(|| ("X-Grafics-Degraded", "true".to_owned())),
         }
     }
 }

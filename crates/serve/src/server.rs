@@ -1,22 +1,22 @@
-//! The threaded HTTP server: one accept loop feeding a bounded queue of
-//! connections, a fixed worker pool draining it (keep-alive: one worker
-//! drives one connection at a time), a [`MaintenanceDaemon`] alongside,
-//! and graceful shutdown — on SIGINT/SIGTERM (when enabled) or
-//! [`ServerHandle::shutdown`], the listener stops accepting, queued and
-//! in-flight requests are answered (`Connection: close`), and `run`
-//! returns a [`ServeReport`].
+//! The threaded HTTP server over a [`GraficsFleet`]: the shared
+//! [`transport`](crate::transport) core (accept loop, bounded queue,
+//! worker pool, graceful drain) answering through [`api::dispatch_meta`],
+//! with a [`MaintenanceDaemon`] alongside. On SIGINT/SIGTERM (when
+//! enabled) or [`ServerHandle::shutdown`], queued and in-flight requests
+//! are answered (`Connection: close`), the WAL tail is made durable, and
+//! `run` returns a [`ServeReport`].
 
 use crate::api;
 use crate::daemon::MaintenanceDaemon;
-use crate::http::{self, Limits};
+use crate::http::{Limits, Request};
 use crate::state::FleetState;
+use crate::transport::{self, sig, Reply, Running, ServerHandle, Service, Transport};
 use grafics_core::GraficsFleet;
-use std::collections::{HashMap, VecDeque};
-use std::io::{BufReader, BufWriter, ErrorKind, Read, Write};
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::io::{BufWriter, Write};
+use std::net::{IpAddr, SocketAddr, TcpListener, ToSocketAddrs};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::atomic::AtomicBool;
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 /// Server tuning knobs. The defaults suit a small deployment (and the
@@ -87,19 +87,9 @@ pub struct ServeReport {
     pub maintenance_refreshes: u64,
 }
 
-/// A clonable remote control for a running server.
-#[derive(Clone)]
-pub struct ServerHandle {
-    shutdown: Arc<AtomicBool>,
-}
-
-impl ServerHandle {
-    /// Asks the server to drain in-flight requests and exit; returns
-    /// immediately.
-    pub fn shutdown(&self) {
-        self.shutdown.store(true, Ordering::SeqCst);
-    }
-}
+/// A server running on a background thread (tests, benches, smoke
+/// tools).
+pub type RunningServer = Running<FleetState, ServeReport>;
 
 /// A bound-but-not-yet-running HTTP server over a [`GraficsFleet`].
 pub struct HttpServer {
@@ -122,7 +112,7 @@ impl HttpServer {
         addr: A,
         config: ServeConfig,
     ) -> std::io::Result<Self> {
-        let listener = TcpListener::bind(addr)?;
+        let listener = transport::bind(addr)?;
         let mut state = FleetState::new(fleet, config.seed);
         state.set_auth_token(config.auth_token.clone());
         Ok(HttpServer {
@@ -145,9 +135,7 @@ impl HttpServer {
     /// A shutdown handle, usable from any thread.
     #[must_use]
     pub fn handle(&self) -> ServerHandle {
-        ServerHandle {
-            shutdown: Arc::clone(&self.shutdown),
-        }
+        ServerHandle::new(&self.shutdown)
     }
 
     /// The shared serving state (fleet access, counters).
@@ -158,91 +146,43 @@ impl HttpServer {
 
     /// Runs the accept loop on the calling thread until shutdown, then
     /// drains: queued connections get their current request answered
-    /// with `Connection: close`, workers and the daemon are joined.
+    /// with `Connection: close`, workers and the daemon are joined, and
+    /// the WAL tail is made durable.
     ///
     /// # Errors
     ///
-    /// Propagates listener errors other than the expected non-blocking
-    /// `WouldBlock`.
+    /// Opening the access log, or the final WAL drain.
     pub fn run(self) -> std::io::Result<ServeReport> {
         if self.config.handle_signals {
             sig::install();
         }
-        // Before any thread spawns: an error here can still early-return
-        // without leaking workers or the daemon.
-        self.listener.set_nonblocking(true)?;
+        // Before the daemon spawns: an error here can still early-return
+        // without leaking it.
         let access_log = match &self.config.access_log {
-            Some(path) => Some(Arc::new(AccessLog::open(path)?)),
+            Some(path) => Some(AccessLog::open(path)?),
             None => None,
         };
-        let queue = Arc::new(ConnQueue::new(self.config.queue_depth));
-        let registry = Arc::new(ConnRegistry::default());
         let daemon = MaintenanceDaemon::spawn(
             Arc::clone(&self.state),
             self.state.fleet().maintenance(),
             self.config.maintenance_tick,
             self.config.seed,
         );
-
-        let mut workers = Vec::with_capacity(self.config.workers);
-        for _ in 0..self.config.workers.max(1) {
-            let queue = Arc::clone(&queue);
-            let registry = Arc::clone(&registry);
-            let state = Arc::clone(&self.state);
-            let config = self.config.clone();
-            let shutdown = Arc::clone(&self.shutdown);
-            let access_log = access_log.clone();
-            workers.push(std::thread::spawn(move || {
-                while let Some(conn) = queue.pop() {
-                    let id = registry.register(&conn);
-                    handle_connection(conn, &state, &config, &shutdown, access_log.as_deref());
-                    if let Some(id) = id {
-                        registry.deregister(id);
-                    }
-                }
-            }));
-        }
-
-        // Non-blocking accept + short sleep: the loop notices shutdown
-        // (handle or signal) within ~5 ms without platform-specific
-        // polling APIs.
-        while !self.shutdown.load(Ordering::SeqCst) && !sig::tripped() {
-            match self.listener.accept() {
-                Ok((stream, _peer)) => {
-                    if stream.set_nonblocking(false).is_err() {
-                        continue; // the socket is already dead; drop it
-                    }
-                    let _ = stream.set_read_timeout(Some(self.config.read_timeout));
-                    let _ = stream.set_nodelay(true);
-                    if !queue.push(stream, &self.shutdown) {
-                        break;
-                    }
-                }
-                Err(e) if e.kind() == ErrorKind::WouldBlock => {
-                    std::thread::sleep(Duration::from_millis(5));
-                }
-                Err(e) if e.kind() == ErrorKind::Interrupted => {}
-                Err(_) => {
-                    // ECONNABORTED, EMFILE, and friends are transient
-                    // under load; one of them must not take the whole
-                    // service down (and an early return here would leak
-                    // the workers parked on the still-open queue).
-                    std::thread::sleep(Duration::from_millis(10));
-                }
-            }
-        }
-        // Drain: stop handing out new work once the queue empties, and
-        // half-close the read side of every live connection — a worker
-        // blocked waiting for the *next* keep-alive request wakes to a
-        // clean EOF immediately, while a response being written still
-        // goes out (with `Connection: close`). Requests already received
-        // are answered; nothing new is read.
-        self.shutdown.store(true, Ordering::SeqCst);
-        queue.close();
-        registry.drain();
-        for worker in workers {
-            let _ = worker.join();
-        }
+        let config = &self.config;
+        let pool = Transport {
+            workers: config.workers,
+            queue_depth: config.queue_depth,
+            limits: Limits {
+                max_head_bytes: config.max_head_bytes,
+                max_body_bytes: config.max_body_bytes,
+            },
+            read_timeout: config.read_timeout,
+        };
+        let service = FleetService {
+            state: &self.state,
+            access_log: access_log.as_ref(),
+        };
+        transport::run(&self.listener, &pool, &self.shutdown, &service);
         let maintenance = daemon.stop();
         if let Some(log) = &access_log {
             log.flush();
@@ -270,129 +210,43 @@ impl HttpServer {
     /// Propagates the `local_addr` error.
     pub fn spawn(self) -> std::io::Result<RunningServer> {
         let addr = self.local_addr()?;
-        let handle = self.handle();
-        let thread = std::thread::spawn(move || self.run());
-        Ok(RunningServer {
-            addr,
-            handle,
-            thread,
-        })
+        let (handle, state) = (self.handle(), Arc::clone(&self.state));
+        Ok(Running::spawn(addr, handle, state, move || self.run()))
     }
 }
 
-/// A server running on a background thread (tests, benches, smoke
-/// tools).
-pub struct RunningServer {
-    addr: SocketAddr,
-    handle: ServerHandle,
-    thread: std::thread::JoinHandle<std::io::Result<ServeReport>>,
+/// The fleet API behind the transport, plus the optional access log.
+struct FleetService<'a> {
+    state: &'a FleetState,
+    access_log: Option<&'a AccessLog>,
 }
 
-impl RunningServer {
-    /// The bound address.
-    #[must_use]
-    pub fn addr(&self) -> SocketAddr {
-        self.addr
+impl Service for FleetService<'_> {
+    fn count_request(&self) {
+        self.state.count_request();
     }
 
-    /// A shutdown handle.
-    #[must_use]
-    pub fn handle(&self) -> ServerHandle {
-        self.handle.clone()
-    }
-
-    /// Triggers shutdown and joins the server thread.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the server's exit error.
-    pub fn shutdown(self) -> std::io::Result<ServeReport> {
-        self.handle.shutdown();
-        self.thread
-            .join()
-            .unwrap_or_else(|_| Err(std::io::Error::other("server thread panicked")))
-    }
-}
-
-/// Serves one connection until it closes, errors, goes idle past the
-/// read timeout, or the server drains.
-fn handle_connection(
-    stream: TcpStream,
-    state: &FleetState,
-    config: &ServeConfig,
-    shutdown: &AtomicBool,
-    access_log: Option<&AccessLog>,
-) {
-    let limits = Limits {
-        max_head_bytes: config.max_head_bytes,
-        max_body_bytes: config.max_body_bytes,
-    };
-    let Ok(read_half) = stream.try_clone() else {
-        return;
-    };
-    let mut reader = BufReader::new(read_half);
-    let mut writer = BufWriter::new(stream);
-    // Per-connection reusable buffers: every keep-alive request on this
-    // worker parses into and answers out of the same allocations.
-    let mut req = http::Request::new();
-    let mut response = String::new();
-    loop {
-        match http::read_request_into(&mut reader, &mut writer, &limits, &mut req) {
-            Ok(false) => break,
-            Ok(true) => {
-                state.count_request();
-                let started = Instant::now();
-                let mut meta = api::RequestMeta::default();
-                let (status, content_type) = api::dispatch_meta(
-                    state,
-                    &req.method,
-                    &req.path,
-                    &req.body,
-                    &req.authorization,
-                    &mut response,
-                    &mut meta,
-                );
-                if let Some(log) = access_log {
-                    log.record(&req.method, &req.path, status, started.elapsed(), meta);
-                }
-                let keep = req.keep_alive && !shutdown.load(Ordering::SeqCst);
-                if http::write_response_typed(&mut writer, status, content_type, &response, keep)
-                    .is_err()
-                    || !keep
-                {
-                    break;
-                }
-            }
-            Err(e) => {
-                if let Some((status, message)) = e.response() {
-                    state.count_request();
-                    let body = serde_json::to_string(&serde_json::json!({ "error": message }))
-                        .unwrap_or_default();
-                    if http::write_response(&mut writer, status, &body, false).is_ok() {
-                        // Drain what the client already sent (e.g. the
-                        // oversized body behind a 413) before closing:
-                        // on Linux, close() with unread received data
-                        // sends RST, which can discard the error
-                        // response still in flight. Bounded in both
-                        // bytes and time.
-                        let _ = writer
-                            .get_ref()
-                            .set_read_timeout(Some(Duration::from_millis(250)));
-                        let mut sink = [0u8; 8192];
-                        let mut drained = 0usize;
-                        while drained < (8 << 20) {
-                            match reader.read(&mut sink) {
-                                Ok(0) | Err(_) => break,
-                                Ok(n) => drained += n,
-                            }
-                        }
-                    }
-                }
-                break;
-            }
+    fn dispatch(&self, req: &Request, _peer: IpAddr, body: &mut String) -> Reply {
+        let started = Instant::now();
+        let mut meta = api::RequestMeta::default();
+        let (status, content_type) = api::dispatch_meta(
+            self.state,
+            &req.method,
+            &req.path,
+            &req.body,
+            &req.authorization,
+            body,
+            &mut meta,
+        );
+        if let Some(log) = self.access_log {
+            log.record(&req.method, &req.path, status, started.elapsed(), meta);
+        }
+        Reply {
+            status,
+            content_type,
+            header: None,
         }
     }
-    let _ = writer.flush();
 }
 
 /// The structured access log: one JSON line per handled request,
@@ -439,176 +293,5 @@ impl AccessLog {
 
     fn flush(&self) {
         let _ = self.writer.lock().expect("access log").flush();
-    }
-}
-
-/// Tracks live connections so a drain can half-close their read sides,
-/// unblocking workers parked on idle keep-alive reads without waiting
-/// out the read timeout.
-#[derive(Default)]
-struct ConnRegistry {
-    inner: Mutex<RegistryInner>,
-}
-
-#[derive(Default)]
-struct RegistryInner {
-    conns: HashMap<u64, TcpStream>,
-    next_id: u64,
-    draining: bool,
-}
-
-impl ConnRegistry {
-    /// Registers a connection (a `try_clone` of its stream); if the
-    /// server is already draining, the read side is closed on the spot.
-    fn register(&self, stream: &TcpStream) -> Option<u64> {
-        let clone = stream.try_clone().ok()?;
-        let mut inner = self.inner.lock().expect("conn registry");
-        if inner.draining {
-            let _ = clone.shutdown(Shutdown::Read);
-        }
-        let id = inner.next_id;
-        inner.next_id += 1;
-        inner.conns.insert(id, clone);
-        Some(id)
-    }
-
-    fn deregister(&self, id: u64) {
-        self.inner.lock().expect("conn registry").conns.remove(&id);
-    }
-
-    fn drain(&self) {
-        let mut inner = self.inner.lock().expect("conn registry");
-        inner.draining = true;
-        for conn in inner.conns.values() {
-            let _ = conn.shutdown(Shutdown::Read);
-        }
-    }
-}
-
-/// A bounded MPMC queue of accepted connections (std mutex + condvars —
-/// no external dependency for a queue this small).
-struct ConnQueue {
-    inner: Mutex<QueueInner>,
-    capacity: usize,
-    /// Signalled when the queue gains an item or closes.
-    takers: Condvar,
-    /// Signalled when the queue loses an item or closes.
-    givers: Condvar,
-}
-
-struct QueueInner {
-    items: VecDeque<TcpStream>,
-    closed: bool,
-}
-
-impl ConnQueue {
-    fn new(capacity: usize) -> Self {
-        ConnQueue {
-            inner: Mutex::new(QueueInner {
-                items: VecDeque::new(),
-                closed: false,
-            }),
-            capacity: capacity.max(1),
-            takers: Condvar::new(),
-            givers: Condvar::new(),
-        }
-    }
-
-    /// Blocks while full; returns `false` if the queue closed (or
-    /// shutdown/a signal tripped) instead of accepting the connection.
-    fn push(&self, conn: TcpStream, shutdown: &AtomicBool) -> bool {
-        let mut inner = self.inner.lock().expect("conn queue");
-        while inner.items.len() >= self.capacity && !inner.closed {
-            // Also poll the signal flag: Ctrl-C must not hang behind a
-            // full queue whose workers are all parked on keep-alive
-            // connections.
-            if shutdown.load(Ordering::SeqCst) || sig::tripped() {
-                return false;
-            }
-            let (next, _) = self
-                .givers
-                .wait_timeout(inner, Duration::from_millis(20))
-                .expect("conn queue");
-            inner = next;
-        }
-        if inner.closed {
-            return false;
-        }
-        inner.items.push_back(conn);
-        drop(inner);
-        self.takers.notify_one();
-        true
-    }
-
-    /// Blocks until an item arrives; `None` once closed *and* drained.
-    fn pop(&self) -> Option<TcpStream> {
-        let mut inner = self.inner.lock().expect("conn queue");
-        loop {
-            if let Some(conn) = inner.items.pop_front() {
-                drop(inner);
-                self.givers.notify_one();
-                return Some(conn);
-            }
-            if inner.closed {
-                return None;
-            }
-            inner = self.takers.wait(inner).expect("conn queue");
-        }
-    }
-
-    fn close(&self) {
-        self.inner.lock().expect("conn queue").closed = true;
-        self.takers.notify_all();
-        self.givers.notify_all();
-    }
-}
-
-/// SIGINT/SIGTERM → graceful drain, without a signal-handling crate: the
-/// handler only flips an atomic the accept loop polls.
-#[cfg(unix)]
-#[allow(unsafe_code)]
-mod sig {
-    use std::sync::atomic::{AtomicBool, Ordering};
-
-    static TRIPPED: AtomicBool = AtomicBool::new(false);
-
-    type Handler = extern "C" fn(i32);
-
-    extern "C" {
-        /// `signal(2)` from the C library std already links. The return
-        /// value (the previous handler) is deliberately ignored.
-        fn signal(signum: i32, handler: Handler) -> usize;
-    }
-
-    const SIGINT: i32 = 2;
-    const SIGTERM: i32 = 15;
-
-    extern "C" fn on_signal(_signum: i32) {
-        // A relaxed atomic store is async-signal-safe; everything else
-        // (draining, joining) happens on normal threads that observe it.
-        TRIPPED.store(true, Ordering::SeqCst);
-    }
-
-    pub fn install() {
-        // SAFETY: `signal` is the libc function with this exact
-        // signature; `on_signal` only stores to a static atomic, which
-        // is async-signal-safe.
-        unsafe {
-            signal(SIGINT, on_signal);
-            signal(SIGTERM, on_signal);
-        }
-    }
-
-    pub fn tripped() -> bool {
-        TRIPPED.load(Ordering::SeqCst)
-    }
-}
-
-#[cfg(not(unix))]
-mod sig {
-    pub fn install() {}
-
-    pub fn tripped() -> bool {
-        false
     }
 }

@@ -986,3 +986,92 @@ fn client_retry_invariants_under_chaos() {
     drop(proxy);
     backend.shutdown().unwrap();
 }
+
+/// Shutdown drains idle keep-alive clients at once: one client that
+/// made a request and then sits idle does not hold `shutdown()` for the
+/// 30 s default read timeout.
+#[test]
+fn shutdown_does_not_wait_out_an_idle_keep_alive_client() {
+    let backend = spawn_backend(shard_fleet(0), ServeConfig::default());
+    // The default 30 s read timeout: only the drain can end that read.
+    let router = router_over(&[backend.addr()], |_| {});
+    let mut client = HttpClient::connect(router.addr()).unwrap();
+    let (status, body) = client.get("/healthz").unwrap();
+    assert!(status == 200 || status == 503, "{status} {body}");
+
+    let start = Instant::now();
+    router.shutdown().unwrap();
+    let took = start.elapsed();
+    assert!(
+        took < Duration::from_secs(1),
+        "shutdown waited {took:?} on an idle keep-alive connection"
+    );
+    drop(client);
+    backend.shutdown().unwrap();
+}
+
+/// The router rejects bad requests with the same statuses as the
+/// backend server (`rejects_bad_requests_with_the_right_statuses` in
+/// `tests/http.rs`), plus 431 on an oversized head — one shared error
+/// path.
+#[test]
+fn router_rejects_bad_requests_with_the_right_statuses() {
+    use std::io::{Read, Write};
+    let backend = spawn_backend(full_fleet(), ServeConfig::default());
+    let router = router_over(&[backend.addr()], |c| {
+        c.max_body_bytes = 2 * 1024;
+    });
+    assert!(router.wait_for_buildings(2, Duration::from_secs(10)));
+    let mut client = HttpClient::connect(router.addr()).unwrap();
+
+    let (status, body) = client.get("/v1/nope").unwrap();
+    assert_eq!(status, 404, "{body}");
+    let (status, body) = client.get("/v1/infer").unwrap();
+    assert_eq!(status, 405, "{body}");
+    let (status, body) = client.post("/v1/infer", "{not json").unwrap();
+    assert_eq!(status, 400, "{body}");
+    let (status, body) = client.post("/v1/infer", "{\"seed\":1}").unwrap();
+    assert_eq!(status, 400, "{body}"); // missing record
+    let (status, body) = client
+        .post("/v1/infer", "{\"record\":{\"readings\":[]}}")
+        .unwrap();
+    assert_eq!(status, 400, "{body}"); // empty record violates invariants
+    let (status, body) = client
+        .post(
+            "/v1/infer",
+            "{\"record\":{\"readings\":[{\"mac\":1,\"rssi\":-500.0}]}}",
+        )
+        .unwrap();
+    assert_eq!(status, 400, "{body}"); // RSSI out of range
+
+    // Oversized body: rejected before parsing; the connection closes
+    // after the answer.
+    let huge = format!("{{\"pad\":\"{}\"}}", "x".repeat(4 * 1024));
+    let (status, body) = client.post("/v1/infer", &huge).unwrap();
+    assert_eq!(status, 413, "{body}");
+
+    // A record overlapping no building: well-formed but unservable.
+    let mut client = HttpClient::connect(router.addr()).unwrap();
+    let (status, body) = client
+        .post(
+            "/v1/infer",
+            "{\"record\":{\"readings\":[{\"mac\":999999999,\"rssi\":-50.0}]}}",
+        )
+        .unwrap();
+    assert_eq!(status, 422, "{body}");
+
+    // Oversized head: 431, then close.
+    let mut stream = std::net::TcpStream::connect(router.addr()).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    let pad = "a".repeat(RouterConfig::default().max_head_bytes + 1);
+    let _ = write!(stream, "GET /healthz HTTP/1.1\r\nX-Pad: {pad}\r\n\r\n");
+    let mut text = String::new();
+    let _ = stream.read_to_string(&mut text);
+    assert!(text.starts_with("HTTP/1.1 431 "), "{text}");
+    assert!(text.contains("Connection: close\r\n"), "{text}");
+
+    router.shutdown().unwrap();
+    backend.shutdown().unwrap();
+}
