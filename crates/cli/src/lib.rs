@@ -989,9 +989,17 @@ mod tests {
         parts.iter().map(|p| (*p).to_owned()).collect()
     }
 
-    fn tmp(name: &str) -> String {
-        let dir = std::env::temp_dir().join("grafics-cli-test");
+    /// A fresh directory owned by one test: its name plus the process
+    /// id, so tests running in parallel (or two test processes) never
+    /// touch each other's files. Each test removes only its own.
+    fn test_dir(test: &str) -> std::path::PathBuf {
+        let dir = std::env::temp_dir().join(format!("grafics-cli-{test}-{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
         std::fs::create_dir_all(&dir).unwrap();
+        dir
+    }
+
+    fn file_in(dir: &std::path::Path, name: &str) -> String {
         dir.join(name).to_string_lossy().into_owned()
     }
 
@@ -1061,15 +1069,18 @@ mod tests {
 
     #[test]
     fn simulate_rejects_bad_preset() {
-        let out = tmp("bad.jsonl");
+        let dir = test_dir("simulate_rejects_bad_preset");
+        let out = file_in(&dir, "bad.jsonl");
         let err = run(&s(&["simulate", "--preset", "castle", "--out", &out])).unwrap_err();
         assert!(err.contains("unknown preset"));
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn train_accepts_threads_flag() {
-        let corpus = tmp("threads-corpus.jsonl");
-        let model = tmp("threads-model.json");
+        let dir = test_dir("train_accepts_threads_flag");
+        let corpus = file_in(&dir, "threads-corpus.jsonl");
+        let model = file_in(&dir, "threads-model.json");
         run(&s(&[
             "simulate",
             "--preset",
@@ -1102,14 +1113,14 @@ mod tests {
         // The trained model must serve predictions like any serial model.
         let eval = run(&s(&["evaluate", "--model", &model, "--input", &corpus])).unwrap();
         assert!(eval.contains("micro-F"), "{eval}");
-        std::fs::remove_file(&corpus).ok();
-        std::fs::remove_file(&model).ok();
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn infer_is_thread_count_invariant() {
-        let corpus = tmp("serve-corpus.jsonl");
-        let model = tmp("serve-model.json");
+        let dir = test_dir("infer_is_thread_count_invariant");
+        let corpus = file_in(&dir, "serve-corpus.jsonl");
+        let model = file_in(&dir, "serve-model.json");
         run(&s(&[
             "simulate",
             "--preset",
@@ -1142,14 +1153,12 @@ mod tests {
         ]))
         .unwrap();
         assert_eq!(serial, parallel, "--threads must not change predictions");
-        std::fs::remove_file(&corpus).ok();
-        std::fs::remove_file(&model).ok();
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn fleet_cli_workflow() {
-        let base = std::env::temp_dir().join("grafics-cli-fleet-test");
-        std::fs::remove_dir_all(&base).ok();
+        let base = test_dir("fleet_cli_workflow");
         let data = base.join("data").to_string_lossy().into_owned();
         let models = base.join("models").to_string_lossy().into_owned();
 
@@ -1246,8 +1255,7 @@ mod tests {
 
     #[test]
     fn fleet_durable_train_recover_roundtrip() {
-        let base = std::env::temp_dir().join("grafics-cli-durable-test");
-        std::fs::remove_dir_all(&base).ok();
+        let base = test_dir("fleet_durable_train_recover_roundtrip");
         let data = base.join("data").to_string_lossy().into_owned();
         let models = base.join("models").to_string_lossy().into_owned();
 
@@ -1316,8 +1324,7 @@ mod tests {
     fn fleet_rejects_bad_usage() {
         assert!(run(&s(&["fleet"])).is_err());
         assert!(run(&s(&["fleet", "frobnicate"])).is_err());
-        let empty = std::env::temp_dir().join("grafics-cli-fleet-empty");
-        std::fs::create_dir_all(&empty).unwrap();
+        let empty = test_dir("fleet_rejects_bad_usage");
         let e = empty.to_string_lossy().into_owned();
         assert!(run(&s(&["fleet", "train", "--data", &e, "--out", &e])).is_err());
         assert!(run(&s(&["fleet", "stat", "--models", &e])).is_err());
@@ -1326,9 +1333,10 @@ mod tests {
 
     #[test]
     fn full_cli_workflow() {
-        let corpus = tmp("corpus.jsonl");
-        let test_set = tmp("test.jsonl");
-        let model = tmp("model.json");
+        let dir = test_dir("full_cli_workflow");
+        let corpus = file_in(&dir, "corpus.jsonl");
+        let test_set = file_in(&dir, "test.jsonl");
+        let model = file_in(&dir, "model.json");
 
         // Simulate a labelled training corpus and a test corpus.
         let msg = run(&s(&[
@@ -1378,8 +1386,6 @@ mod tests {
         // Evaluate: same-building same-layout test set scores highly.
         let eval = run(&s(&["evaluate", "--model", &model, "--input", &test_set])).unwrap();
         assert!(eval.contains("micro-F"), "{eval}");
-        for f in std::fs::read_dir(std::env::temp_dir().join("grafics-cli-test")).unwrap() {
-            std::fs::remove_file(f.unwrap().path()).ok();
-        }
+        std::fs::remove_dir_all(&dir).ok();
     }
 }

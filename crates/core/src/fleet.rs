@@ -86,7 +86,7 @@ use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::fmt;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 /// How a shard bounds the memory of records absorbed online. The offline
@@ -1858,10 +1858,14 @@ impl GraficsFleet {
     /// losslessly: it loads with [`FleetManifest::default`], exactly the
     /// configuration the old loader hard-wired.
     ///
+    /// Shard files decode on up to `available_parallelism` threads, one
+    /// file per thread at a time; shards are added in id order.
+    ///
     /// # Errors
     ///
-    /// IO/serde errors (including a malformed manifest), or
-    /// `InvalidData` if `dir` holds no shard files.
+    /// IO/serde errors (including a malformed manifest; with several bad
+    /// shard files, the error of the lowest id), or `InvalidData` if
+    /// `dir` holds no shard files.
     pub fn load_dir<P: AsRef<Path>>(dir: P) -> std::io::Result<Self> {
         let dir = dir.as_ref();
         let manifest = read_manifest(dir)?;
@@ -1881,10 +1885,9 @@ impl GraficsFleet {
             ids.push((id, entry.path()));
         }
         ids.sort_unstable_by_key(|&(id, _)| id);
-        for (id, path) in ids {
-            let model = Grafics::load_json(&path)?;
+        for (&(id, _), model) in ids.iter().zip(load_models(&ids)) {
             fleet
-                .add_shard(BuildingId(id), model)
+                .add_shard(BuildingId(id), model?)
                 .map_err(|e| std::io::Error::other(e.to_string()))?;
         }
         if fleet.is_empty() {
@@ -2070,6 +2073,55 @@ impl GraficsFleet {
         self.shards.insert(at, shard);
         Ok(())
     }
+}
+
+/// Decodes the model files of `shards` (sorted by id) on up to
+/// `available_parallelism` scoped threads, returning the results in
+/// `shards` order. Each worker reads and decodes one file at a time, so
+/// at most one file's text per worker is in memory at once, and each
+/// model is [`rehome`]d on the calling thread.
+fn load_models(shards: &[(u32, PathBuf)]) -> Vec<std::io::Result<Grafics>> {
+    let workers = std::thread::available_parallelism()
+        .map_or(1, std::num::NonZeroUsize::get)
+        .min(shards.len());
+    // A work counter only: each result reaches this thread through the
+    // channel, so no ordering beyond `Relaxed` is needed.
+    let next = AtomicUsize::new(0);
+    let mut out: Vec<Option<std::io::Result<Grafics>>> = (0..shards.len()).map(|_| None).collect();
+    std::thread::scope(|s| {
+        let (done, results) = std::sync::mpsc::channel();
+        for _ in 0..workers {
+            let done = done.clone();
+            let next = &next;
+            s.spawn(move || loop {
+                let i = next.fetch_add(1, Ordering::Relaxed);
+                let Some((_, path)) = shards.get(i) else {
+                    return;
+                };
+                if done.send((i, Grafics::load_json(path))).is_err() {
+                    return;
+                }
+            });
+        }
+        drop(done);
+        for (i, model) in results {
+            out[i] = Some(model.map(rehome));
+        }
+    });
+    out.into_iter()
+        .map(|model| model.expect("every shard index is claimed by one worker"))
+        .collect()
+}
+
+/// A deep copy of `model` allocated on the calling thread, the worker's
+/// copy dropped. With a per-thread-arena allocator (glibc), memory a
+/// short-lived worker allocates stays in that worker's arena; the next
+/// load's workers may draw other arenas, so repeated loads in one
+/// process (a second server's cold start next to a running one) would
+/// spread fleets over arenas that are never trimmed, and peak RSS would
+/// grow with each load.
+fn rehome(model: Grafics) -> Grafics {
+    model.clone()
 }
 
 /// Reads `fleet.json`, falling back to the version-1 shape (no

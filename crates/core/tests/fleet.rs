@@ -461,6 +461,45 @@ fn manifest_round_trips_and_pre_manifest_dirs_migrate() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// `load_dir` decodes shard files in parallel but adds them in id order,
+/// and a directory with several bad files fails with the error of the
+/// lowest failing id, as a sequential load would.
+#[test]
+fn parallel_load_keeps_id_order_and_reports_the_lowest_failing_id() {
+    let dir = std::env::temp_dir().join(format!("grafics-fleet-load-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    build_fleet(RetentionPolicy::KeepAll)
+        .save_dir(&dir)
+        .unwrap();
+
+    let reloaded = GraficsFleet::load_dir(&dir).unwrap();
+    let ids: Vec<u32> = reloaded.shards().iter().map(|s| s.id().0).collect();
+    assert_eq!(ids, [0, 1, 2]);
+    let (_, stream) = fleet_fixture();
+    let records: Vec<SignalRecord> = stream.iter().map(|(_, r)| r.clone()).take(20).collect();
+    let expect = build_fleet(RetentionPolicy::KeepAll).serve_batch(&records, 3, 1);
+    for (a, b) in expect.iter().zip(&reloaded.serve_batch(&records, 3, 1)) {
+        assert_eq!(
+            a.as_ref().map(|p| (p.floor, p.distance.to_bits())),
+            b.as_ref().map(|p| (p.floor, p.distance.to_bits()))
+        );
+    }
+
+    // Two corrupt shards that fail with different errors.
+    std::fs::write(dir.join("shard-1.json"), "{\"config\":").unwrap();
+    std::fs::write(dir.join("shard-2.json"), "garbage").unwrap();
+    let lowest = Grafics::load_json(dir.join("shard-1.json")).unwrap_err();
+    let other = Grafics::load_json(dir.join("shard-2.json")).unwrap_err();
+    assert_ne!(lowest.to_string(), other.to_string());
+    for _ in 0..4 {
+        let Err(err) = GraficsFleet::load_dir(&dir) else {
+            panic!("corrupt shards must fail the load");
+        };
+        assert_eq!(err.to_string(), lowest.to_string());
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// The weighted router agrees with the overlap router on essentially the
 /// whole home-building stream (disjoint AP namespaces), while remaining
 /// deterministic and persistable.
