@@ -20,6 +20,24 @@
 //! The hot loop reuses the scratch buffers across calls and performs no
 //! allocation, and uses the same sigmoid lookup table and unrolled dot
 //! kernels as the Hogwild offline trainer.
+//!
+//! Each sample is kept cheap without changing its arithmetic:
+//!
+//! - the negative draw is branch-free ([`grafics_graph::AliasTable::sample_with`]
+//!   picks column or alias with a conditional move, so a random coin
+//!   costs no branch mispredict), and the sampler's draw inlines into
+//!   the loop;
+//! - for the monomorphised dimensions 4/8/16 the query's ego and context
+//!   rows are copied into local `[f32; DIM]` arrays for the whole
+//!   refinement and written back once at the end, and each step's
+//!   gradient accumulates in a local `[f32; DIM]`, so the rows and the
+//!   gradient stay in registers instead of going through memory on
+//!   every update. Other dimensions update the rows in place and
+//!   accumulate in [`OnlineScratch`].
+//!
+//! Arithmetic order, RNG draw order, the learning-rate schedule and the
+//! probe's placement are those of the slice-based loop, pinned by the
+//! golden hashes in `online/golden.rs`.
 
 use crate::config::{EmbedError, EmbeddingConfig, Objective, OnlineBudget};
 use crate::model::{EmbeddingModel, Space};
@@ -45,7 +63,8 @@ pub struct OnlineScratch {
     cum: Vec<f64>,
     /// Negative draws of the current step.
     negatives: Vec<u32>,
-    /// Source-gradient accumulator.
+    /// Source-gradient accumulator of the `d > 16` kernels (fixed
+    /// dimensions accumulate in registers).
     grad: Vec<f32>,
     /// Freshly initialised ego rows: the query node's row, then one row
     /// per never-seen MAC (read-only serving path).
@@ -97,6 +116,22 @@ impl RefineOutcome {
 struct Probe<'p> {
     chunk: usize,
     decisive: &'p mut dyn FnMut(&[f32]) -> bool,
+}
+
+impl Probe<'_> {
+    /// Asks `decisive` about the live ego row. Fixed dimensions hand it
+    /// a stack copy, so the register-held row's address never escapes
+    /// into the opaque callback (which would pin it to memory for the
+    /// whole loop).
+    #[inline(always)]
+    fn fires<const DIM: usize>(&mut self, row: &[f32]) -> bool {
+        if DIM == 0 {
+            (self.decisive)(row)
+        } else {
+            let live: [f32; DIM] = row.try_into().expect("row length equals DIM");
+            (self.decisive)(&live)
+        }
+    }
 }
 
 /// Read-only row storage for one online embedding: the frozen matrices
@@ -179,8 +214,11 @@ fn axpy_k<const DIM: usize>(acc: &mut [f32], g: f32, v: &[f32]) {
 
 /// One positive-plus-negatives step updating only `src` (a row of the
 /// query node): the `update_targets = false` specialisation of the serial
-/// trainer's SGD step, on the fast kernels.
-#[inline]
+/// trainer's SGD step, on the fast kernels. Fixed dimensions accumulate
+/// the gradient in a local `[f32; DIM]` that stays in registers; `d > 16`
+/// (`DIM == 0`) zeroes and reuses the scratch slice `grad`. Both start
+/// from zeros and add in the same order, so they agree bit for bit.
+#[inline(always)]
 #[allow(clippy::too_many_arguments)]
 fn pos_neg_step<const DIM: usize>(
     table: &[f32; SIGMOID_TABLE_SIZE],
@@ -192,7 +230,13 @@ fn pos_neg_step<const DIM: usize>(
     lr: f32,
     grad: &mut [f32],
 ) {
-    grad.fill(0.0);
+    let mut held = [0.0f32; DIM];
+    let grad: &mut [f32] = if DIM == 0 {
+        grad.fill(0.0);
+        grad
+    } else {
+        &mut held
+    };
     let g = lr * (1.0 - fast_sigmoid(table, dot_k::<DIM>(src, tgt_row)));
     axpy_k::<DIM>(grad, g, tgt_row);
     for &z in negatives {
@@ -205,7 +249,7 @@ fn pos_neg_step<const DIM: usize>(
 
 /// A positive-only pull of `src` towards a frozen row — the online
 /// "node as target" update (`update_target_only` in the serial trainer).
-#[inline]
+#[inline(always)]
 fn pos_step<const DIM: usize>(
     table: &[f32; SIGMOID_TABLE_SIZE],
     src: &mut [f32],
@@ -302,14 +346,19 @@ fn run_online_sgd<R: Rng + ?Sized>(
 /// `spe × deg` budget, so an early-stopped refinement is a strict
 /// prefix — bit-identical as far as it ran — of the never-stopped one,
 /// and a probe that is never decisive changes nothing at all.
+///
+/// For fixed dimensions the query's rows `home_ego`/`home_context` are
+/// copied into local `[f32; DIM]` arrays, refined there (in registers:
+/// nothing takes their address) and written back once when the loop
+/// ends, early stop included; `DIM == 0` updates the rows in place.
 #[allow(clippy::too_many_arguments)]
 fn run_online_sgd_k<const DIM: usize, R: Rng + ?Sized>(
     cfg: &EmbeddingConfig,
     spe: usize,
     mut probe: Option<Probe<'_>>,
     frozen: &FrozenRows<'_>,
-    node_ego: &mut [f32],
-    node_context: &mut [f32],
+    home_ego: &mut [f32],
+    home_context: &mut [f32],
     nbrs: &[u32],
     cum: &[f64],
     neg: &NegativeSampler,
@@ -319,16 +368,27 @@ fn run_online_sgd_k<const DIM: usize, R: Rng + ?Sized>(
 ) -> usize {
     let table = sigmoid_table();
     grad.resize(cfg.dim, 0.0);
+    let mut held_ego = [0.0f32; DIM];
+    let mut held_context = [0.0f32; DIM];
+    let (node_ego, node_context): (&mut [f32], &mut [f32]) = if DIM == 0 {
+        (&mut *home_ego, &mut *home_context)
+    } else {
+        held_ego.copy_from_slice(home_ego);
+        held_context.copy_from_slice(home_context);
+        (&mut held_ego, &mut held_context)
+    };
     let total = spe * nbrs.len();
     let total_weight = *cum.last().expect("at least one neighbor");
+    let mut samples = total;
     for t in 0..total {
         if let Some(p) = probe.as_mut() {
-            if t > 0 && t % p.chunk == 0 && (p.decisive)(node_ego) {
+            if t > 0 && t % p.chunk == 0 && p.fires::<DIM>(node_ego) {
                 // Early stop: the RNG draws of the skipped samples are
                 // *not* burned, so the stream position depends on where
                 // the probe fired (read-only queries own their stream;
                 // the absorb path never probes).
-                return t;
+                samples = t;
+                break;
             }
         }
         let lr = cfg.lr_at(t, total);
@@ -419,7 +479,11 @@ fn run_online_sgd_k<const DIM: usize, R: Rng + ?Sized>(
             }
         }
     }
-    total
+    if DIM != 0 {
+        home_ego.copy_from_slice(&held_ego);
+        home_context.copy_from_slice(&held_context);
+    }
+    samples
 }
 
 impl ElineTrainer {
@@ -665,6 +729,9 @@ impl ElineTrainer {
         ))
     }
 }
+
+#[cfg(test)]
+mod golden;
 
 #[cfg(test)]
 mod tests {

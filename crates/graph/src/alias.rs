@@ -102,17 +102,21 @@ impl AliasTable {
     /// This halves the RNG draws of [`AliasTable::sample`] (which needs a
     /// bounded integer *and* a float), which matters when the Hogwild
     /// trainer samples tens of millions of edges and negatives per second.
+    ///
+    /// The draw is branch-free: both `prob[i]` and `alias[i]` are loaded
+    /// unconditionally and the coin picks between `i` and the alias with
+    /// [`std::hint::select_unpredictable`] (a conditional move), because
+    /// the coin is a fresh random bit the predictor cannot learn. The
+    /// result equals the branchy `if coin < prob[i] { i } else { alias[i] }`
+    /// for every `raw`.
     #[must_use]
     #[inline]
     pub fn sample_with(&self, raw: u64) -> usize {
         let n = self.prob.len() as u64;
         let i = (((raw >> 32) * n) >> 32) as usize;
         let coin = (raw & 0xffff_ffff) as f64 * (1.0 / 4_294_967_296.0);
-        if coin < self.prob[i] {
-            i
-        } else {
-            self.alias[i] as usize
-        }
+        let alias = self.alias[i] as usize;
+        std::hint::select_unpredictable(coin < self.prob[i], i, alias)
     }
 }
 
@@ -192,6 +196,82 @@ mod tests {
                 "outcome {i}: observed {observed}, expected {expected}"
             );
         }
+    }
+
+    /// The branchy draw `sample_with` replaced, kept as the oracle.
+    fn branchy(t: &AliasTable, raw: u64) -> usize {
+        let n = t.prob.len() as u64;
+        let i = (((raw >> 32) * n) >> 32) as usize;
+        let coin = (raw & 0xffff_ffff) as f64 * (1.0 / 4_294_967_296.0);
+        if coin < t.prob[i] {
+            i
+        } else {
+            t.alias[i] as usize
+        }
+    }
+
+    proptest::proptest! {
+        /// The branch-free draw equals the branchy one for any table built
+        /// from non-negative weights (zeros included) and any raw word.
+        #[test]
+        fn sample_with_matches_branchy_reference(
+            weights in proptest::collection::vec(
+                proptest::option::weighted(0.8, 0.0f64..10.0),
+                1..40,
+            ),
+            raws in proptest::collection::vec(proptest::any::<u64>(), 64..65),
+        ) {
+            let weights: Vec<f64> = weights.into_iter().map(|w| w.unwrap_or(0.0)).collect();
+            proptest::prop_assume!(weights.iter().any(|&w| w > 0.0));
+            let t = AliasTable::new(&weights).unwrap();
+            for raw in raws {
+                proptest::prop_assert_eq!(t.sample_with(raw), branchy(&t, raw));
+            }
+        }
+    }
+
+    /// Boundary coins: a column's `prob` that is an exact multiple of
+    /// 2⁻³² is hit exactly by one coin (which must take the alias, the
+    /// comparison being strict), `prob = 1.0` always keeps the column
+    /// and `prob = 0.0` always takes the alias, even at coin 0.
+    #[test]
+    fn sample_with_boundary_coins() {
+        let two32 = 4_294_967_296.0;
+        let t = AliasTable {
+            prob: vec![0.5, 3.0 / two32, 1.0, 0.0, (two32 - 1.0) / two32],
+            alias: vec![2, 2, 2, 4, 2],
+        };
+        let n = t.prob.len() as u64;
+        // The smallest raw word (coin 0) that selects column `i`.
+        let col = |i: u64| (i << 32).div_ceil(n) << 32;
+        for i in 0..n {
+            assert_eq!(
+                t.sample_with(col(i)) == i as usize,
+                t.prob[i as usize] > 0.0
+            );
+            let p = t.prob[i as usize];
+            let at = (p * two32).min(two32 - 1.0) as u64;
+            let mut lows = vec![0, 1, at.saturating_sub(1), at, at + 1, 0xffff_ffff];
+            lows.retain(|&l| l <= 0xffff_ffff);
+            for low in lows {
+                let raw = col(i) | low;
+                let coin = low as f64 / two32;
+                let want = if coin < p {
+                    i as usize
+                } else {
+                    t.alias[i as usize] as usize
+                };
+                assert_eq!(t.sample_with(raw), want, "column {i}, low {low:#x}");
+                assert_eq!(t.sample_with(raw), branchy(&t, raw));
+            }
+        }
+        // Exact-tie coins take the alias.
+        assert_eq!(t.sample_with(1 << 31), 2);
+        assert_eq!(t.sample_with(col(1) | 3), 2);
+        // prob = 1.0 keeps its column at the largest coin, prob = 0.0
+        // takes its alias at the smallest.
+        assert_eq!(t.sample_with(col(2) | 0xffff_ffff), 2);
+        assert_eq!(t.sample_with(col(3)), 4);
     }
 
     #[test]

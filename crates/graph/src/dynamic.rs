@@ -111,6 +111,7 @@ impl DynamicWeightedSampler {
 
     /// Number of slots with strictly positive weight (tracked exactly).
     #[must_use]
+    #[inline]
     pub fn positive_slots(&self) -> usize {
         self.positive
     }
@@ -277,6 +278,7 @@ impl NegativeSampler {
 
     /// `true` if no node currently carries sampling mass.
     #[must_use]
+    #[inline]
     pub fn is_exhausted(&self) -> bool {
         self.sampler.positive_slots() == 0
     }
@@ -369,6 +371,7 @@ impl NegativeSampler {
 
     /// Draws one node in O(1) from the snapshot (one 64-bit RNG draw).
     /// Returns `None` if every covered node has zero exact mass.
+    #[inline]
     pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> Option<NodeIdx> {
         if self.is_exhausted() {
             return None;
