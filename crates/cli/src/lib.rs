@@ -153,8 +153,8 @@ router.json from DIR instead of flags; explicit flags override it.
 scenario replays a drift-and-churn timeline (AP churn, transmit-power
 drift, device mixes, cross-building bleed) against a freshly trained
 fleet and prints the accuracy-over-time curve per epoch, plus margin
-quantiles, fallback rate, and refresh/publish counts. scenario list
-names the built-in presets; scenario run takes a preset or a scenario
+quantiles and refresh/publish counts. scenario list names the built-in
+presets; scenario run takes a preset or a scenario
 JSON file (--save-scenario writes the resolved timeline back out as a
 shareable artifact). --refresh picks the maintenance discipline the
 replay enacts: none, a blind fixed cadence (refresh every K-th epoch),
@@ -296,16 +296,15 @@ fn scenario_run(args: &[String]) -> Result<String, String> {
     );
     let _ = writeln!(
         out,
-        "{:>20} {:>8} {:>9} {:>8} {:>8} {:>9} {:>9} {:>9}",
-        "epoch", "acc", "fallback", "p10", "p50", "refreshes", "pruned", "resident"
+        "{:>20} {:>8} {:>8} {:>8} {:>9} {:>9} {:>9}",
+        "epoch", "acc", "p10", "p50", "refreshes", "pruned", "resident"
     );
     for e in &report.epochs {
         let _ = writeln!(
             out,
-            "{:>20} {:>8.3} {:>9.3} {:>8.2} {:>8.2} {:>9} {:>9} {:>9}",
+            "{:>20} {:>8.3} {:>8.2} {:>8.2} {:>9} {:>9} {:>9}",
             e.label,
             e.accuracy,
-            e.fallback_rate,
             e.margin_p10,
             e.margin_p50,
             e.refreshes,

@@ -27,14 +27,15 @@
 //! benchmark pins served queries/sec during a concurrent absorb stream to
 //! the idle-shard rate.
 //!
-//! # Bounded memory
+//! # Bounded residency
 //!
-//! A long-running shard cannot grow without bound: the write side's
-//! [`RetentionPolicy`] evicts absorbed records (never the offline
-//! training corpus) through [`Grafics::forget_record`], which keeps the
-//! incremental `NegativeSampler` in exact lockstep — a property test pins
-//! the sampler's weights against a from-scratch rebuild after arbitrary
-//! interleaved absorb/evict sequences.
+//! The write side's [`RetentionPolicy`] evicts absorbed records (never
+//! the offline training corpus) through [`Grafics::forget_record`],
+//! which keeps the incremental `NegativeSampler` in exact lockstep — a
+//! property test pins the sampler's weights against a from-scratch
+//! rebuild after arbitrary interleaved absorb/evict sequences. Eviction
+//! bounds the resident records and edges, not the node-indexed arrays:
+//! a forgotten record's node slot is tombstoned, never reused.
 //!
 //! # Determinism
 //!
@@ -56,17 +57,14 @@
 //! flags. Pre-manifest directories load with [`FleetManifest::default`],
 //! which reproduces the old hard-wired behaviour losslessly.
 //!
-//! # Cross-shard fallback
+//! # Unroutable records
 //!
-//! A record the router declines (e.g. collected on a podium floor whose
-//! APs straddle buildings) can still be served:
-//! [`GraficsFleet::serve_with_fallback`] /
-//! [`GraficsFleet::serve_batch_with_fallback`] broadcast it to every
-//! shard and keep the best-distance answer, flagged
-//! [`FleetPrediction::fallback`].
+//! A record that hears no AP of any building overlaps no shard's graph,
+//! so no shard could embed it (§V footnote 1): every serve path reports
+//! it as [`FleetError::NoRoute`] (`None` in a batch) and absorbs reject
+//! it.
 
-use crate::route::{RouteIndex, Router, RouterKind};
-use crate::server::serve_with_margin_scratch;
+use crate::route::{RouteIndex, RouterKind};
 use crate::wal::{
     self, checkpoint_file_name, encode_header, wal_file_name, FloorBucket, StdWalFs, WalEntry,
     WalFs, WalStats, WalWriter,
@@ -74,7 +72,6 @@ use crate::wal::{
 use crate::{
     record_rng, Grafics, GraficsError, GraficsServer, Prediction, ServeCounters, ServingPolicy,
 };
-use grafics_cluster::MatchScratch;
 use grafics_embed::OnlineScratch;
 use grafics_types::{
     BreakerPolicy, BuildingId, DurabilityPolicy, FloorId, HealthPolicy, RateLimitPolicy, RecordId,
@@ -89,18 +86,25 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
-/// How a shard bounds the memory of records absorbed online. The offline
-/// training corpus is never evicted; policies act only on records the
-/// shard absorbed after construction.
+/// How a shard bounds the records it keeps resident after absorbing them
+/// online. The offline training corpus is never evicted; policies act
+/// only on records the shard absorbed after construction.
 ///
 /// Eviction runs [`Grafics::forget_record`], so the graph, the embedding
 /// rows (tombstoned), and the incremental negative sampler stay in exact
 /// lockstep. MAC nodes are not evicted — they are the building's AP
 /// inventory, bounded by the physical installation.
+///
+/// A policy bounds the resident records and their edges. It does not
+/// bound the node-indexed arrays: a forgotten record's node slot is
+/// tombstoned and never reused, so the embedding rows, the sampler's
+/// weights, its Fenwick tree and its alias snapshot grow with the total
+/// number of absorbs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum RetentionPolicy {
-    /// Absorb forever (the pre-fleet behaviour). Memory grows with
-    /// traffic; use only behind periodic [`Grafics::refresh`] + rebuild.
+    /// Absorb forever (the pre-fleet behaviour). Resident records grow
+    /// with traffic; use only behind periodic [`Grafics::refresh`] +
+    /// rebuild.
     KeepAll,
     /// Keep at most this many absorbed records, evicting the oldest
     /// first. `FifoBudget(0)` absorbs-and-forgets: every record is
@@ -113,7 +117,8 @@ pub enum RetentionPolicy {
 }
 
 impl RetentionPolicy {
-    /// `true` if this policy can ever evict.
+    /// `true` if this policy can ever evict, which bounds the resident
+    /// records and edges (see the type docs for what it does not bound).
     #[must_use]
     pub fn bounds_memory(&self) -> bool {
         !matches!(self, RetentionPolicy::KeepAll)
@@ -277,11 +282,6 @@ pub struct FleetPrediction {
     /// Distance gap to the nearest *different-floor* cluster — the
     /// per-query confidence ([`f64::INFINITY`] on single-floor models).
     pub margin: f64,
-    /// `true` if the router declined the record and the answer came from
-    /// the cross-shard broadcast fallback (see
-    /// [`GraficsFleet::serve_with_fallback`]) — the best-distance shard
-    /// answered, not a routed one.
-    pub fallback: bool,
 }
 
 /// The write half of a shard: the absorbing model plus the retention
@@ -1036,9 +1036,6 @@ pub struct GraficsFleet {
     shards: Vec<Arc<Shard>>,
     /// The routing rule; persisted in the manifest.
     router_kind: RouterKind,
-    /// A runtime-only custom router ([`GraficsFleet::with_router`]) used
-    /// instead of the index.
-    custom_router: Option<Box<dyn Router>>,
     /// The route index over the published snapshots, keyed by the shard
     /// epochs it was built from (shards are only ever added, which
     /// changes the key's length). It holds no snapshot, so a publish
@@ -1124,24 +1121,12 @@ impl GraficsFleet {
         GraficsFleet {
             shards: Vec::new(),
             router_kind: manifest.router,
-            custom_router: None,
             route_cache: RwLock::new(None),
             retention: manifest.retention,
             maintenance: manifest.maintenance,
             durability: manifest.durability,
             serving: manifest.serving.unwrap_or_default(),
             metrics: FleetServeMetrics::default(),
-        }
-    }
-
-    /// An empty fleet with a custom router. Custom routers are not
-    /// persistable: [`GraficsFleet::save_dir`] records the default
-    /// [`RouterKind::Overlap`] in the manifest.
-    #[must_use]
-    pub fn with_router(router: Box<dyn Router>) -> Self {
-        GraficsFleet {
-            custom_router: Some(router),
-            ..GraficsFleet::new()
         }
     }
 
@@ -1203,8 +1188,8 @@ impl GraficsFleet {
     }
 
     /// A snapshot of the process-wide serving counters, aggregated from
-    /// every session this fleet has opened (single serves, batch
-    /// workers, and broadcast fallbacks alike).
+    /// every session this fleet has opened (single serves and batch
+    /// workers alike).
     #[must_use]
     pub fn serve_counters(&self) -> ServeCounters {
         self.metrics.snapshot()
@@ -1288,11 +1273,9 @@ impl GraficsFleet {
         Ok(())
     }
 
-    /// Replaces the routing rule (persisted in the manifest), dropping
-    /// any custom router.
+    /// Replaces the routing rule (persisted in the manifest).
     pub fn set_router(&mut self, kind: RouterKind) {
         self.router_kind = kind;
-        self.custom_router = None;
         *self.route_cache.write() = None;
     }
 
@@ -1393,36 +1376,16 @@ impl GraficsFleet {
         (built.as_slice() == epochs).then(|| Arc::clone(index))
     }
 
-    /// The slot in `snapshots` (and in `self.shards`, which shares their
-    /// order) that `record` routes to; `index` must come with `snapshots`
-    /// from [`GraficsFleet::published`].
-    fn route_slot(
-        &self,
-        snapshots: &[(BuildingId, Arc<Grafics>)],
-        index: &RouteIndex,
-        record: &SignalRecord,
-    ) -> Option<usize> {
-        match &self.custom_router {
-            Some(router) => {
-                let id = router.route(snapshots, record)?;
-                snapshots.binary_search_by_key(&id, |(sid, _)| *sid).ok()
-            }
-            None => index.route_slot(record),
-        }
-    }
-
     /// Routes one record (no serving): which building would take it?
     #[must_use]
     pub fn route(&self, record: &SignalRecord) -> Option<BuildingId> {
         // Routing alone needs no snapshot: an index cached at the current
         // epochs is current.
         let epochs: Vec<u64> = self.shards.iter().map(|s| s.epoch()).collect();
-        if let (None, Some(index)) = (&self.custom_router, self.cached_index(&epochs)) {
-            return index.route(record);
-        }
-        let (snapshots, index) = self.published();
-        let slot = self.route_slot(&snapshots, &index, record)?;
-        Some(snapshots[slot].0)
+        let index = self
+            .cached_index(&epochs)
+            .unwrap_or_else(|| self.published().1);
+        index.route(record)
     }
 
     /// Routes and serves one record against the published snapshots.
@@ -1437,20 +1400,7 @@ impl GraficsFleet {
         rng: &mut R,
     ) -> Result<FleetPrediction, FleetError> {
         let (snapshots, index) = self.published();
-        let slot = self
-            .route_slot(&snapshots, &index, record)
-            .ok_or(FleetError::NoRoute)?;
-        self.serve_on(&snapshots, slot, record, rng)
-    }
-
-    /// Serves one record on the shard in `slot` of `snapshots`.
-    fn serve_on<R: Rng + ?Sized>(
-        &self,
-        snapshots: &[(BuildingId, Arc<Grafics>)],
-        slot: usize,
-        record: &SignalRecord,
-        rng: &mut R,
-    ) -> Result<FleetPrediction, FleetError> {
+        let slot = index.route_slot(record).ok_or(FleetError::NoRoute)?;
         let mut server = GraficsServer::with_policy(&*snapshots[slot].1, self.serving);
         let result = server.infer_with_margin(record, rng);
         self.metrics.flush(server.take_counters());
@@ -1466,92 +1416,7 @@ impl GraficsFleet {
             floor: pred.floor,
             distance: pred.distance,
             margin,
-            fallback: false,
         }
-    }
-
-    /// Serves `record` on **every** snapshot — shard `i` drawing from the
-    /// fresh stream `rng_for_shard(i)` — and returns the best-distance
-    /// answer, ties towards the lower building id, flagged as a fallback
-    /// (its margin is recorded on the winning shard). `None` if no shard
-    /// can serve the record at all.
-    ///
-    /// The whole scatter reuses **one** embedding/matching scratch pair
-    /// (instead of a fresh per-shard session), and resolves the serving
-    /// policy against each shard's own model config. Session counters
-    /// accumulate into `counters` for the caller to flush.
-    fn broadcast_best<R: Rng>(
-        &self,
-        snapshots: &[(BuildingId, Arc<Grafics>)],
-        record: &SignalRecord,
-        counters: &mut ServeCounters,
-        mut rng_for_shard: impl FnMut(usize) -> R,
-    ) -> Option<FleetPrediction> {
-        let mut scratch = OnlineScratch::new();
-        let mut matching = MatchScratch::new();
-        let mut best: Option<(usize, FleetPrediction)> = None;
-        for (i, (id, snap)) in snapshots.iter().enumerate() {
-            let (budget, precision) = self.serving.resolve(snap.config());
-            let mut rng = rng_for_shard(i);
-            let Ok((pred, margin)) = serve_with_margin_scratch(
-                snap,
-                &mut scratch,
-                &mut matching,
-                budget,
-                precision,
-                counters,
-                record,
-                &mut rng,
-            ) else {
-                continue;
-            };
-            // Strict < keeps the first (lowest-id) shard on ties.
-            if best
-                .as_ref()
-                .is_none_or(|(_, b)| pred.distance < b.distance)
-            {
-                let prediction = FleetPrediction {
-                    building: *id,
-                    floor: pred.floor,
-                    distance: pred.distance,
-                    margin,
-                    fallback: true,
-                };
-                best = Some((i, prediction));
-            }
-        }
-        let (slot, best) = best?;
-        self.shards[slot].record_margin(best.margin);
-        Some(best)
-    }
-
-    /// Like [`GraficsFleet::serve`], but a record the router declines is
-    /// **broadcast** to every shard instead of being discarded: each
-    /// shard serves it with an identical clone of `rng` (so the answer
-    /// per shard equals what direct routing there would have produced),
-    /// and the best-distance answer wins, ties towards the lower
-    /// building id, flagged [`FleetPrediction::fallback`]. This closes
-    /// the "records straddling buildings" gap — e.g. malls sharing
-    /// podium APs, where a strict router refuses to guess.
-    ///
-    /// # Errors
-    ///
-    /// - [`FleetError::NoRoute`] if no shard at all can serve the record
-    ///   (it overlaps no building's published AP inventory);
-    /// - [`FleetError::Model`] on embedding failure in the routed shard.
-    pub fn serve_with_fallback<R: Rng + Clone>(
-        &self,
-        record: &SignalRecord,
-        rng: &mut R,
-    ) -> Result<FleetPrediction, FleetError> {
-        let (snapshots, index) = self.published();
-        if let Some(slot) = self.route_slot(&snapshots, &index, record) {
-            return self.serve_on(&snapshots, slot, record, rng);
-        }
-        let mut counters = ServeCounters::default();
-        let best = self.broadcast_best(&snapshots, record, &mut counters, |_| rng.clone());
-        self.metrics.flush(counters);
-        best.ok_or(FleetError::NoRoute)
     }
 
     /// Routes and serves a whole batch on `threads` workers. Routing runs
@@ -1568,25 +1433,7 @@ impl GraficsFleet {
         seed: u64,
         threads: usize,
     ) -> Vec<Option<FleetPrediction>> {
-        self.serve_batch_impl(records, seed, threads, false, None)
-    }
-
-    /// [`GraficsFleet::serve_batch`] with the cross-shard broadcast
-    /// fallback of [`GraficsFleet::serve_with_fallback`]: records the
-    /// router declines are answered by the best-distance shard (each
-    /// shard sees the record's own [`record_rng`](crate::record_rng)
-    /// stream, so a fallback answer from shard `S` is bit-identical to
-    /// what routing the record to `S` directly would have produced) and
-    /// flagged [`FleetPrediction::fallback`]. Routed records are served
-    /// exactly as by `serve_batch`. Still thread-count invariant.
-    #[must_use]
-    pub fn serve_batch_with_fallback(
-        &self,
-        records: &[SignalRecord],
-        seed: u64,
-        threads: usize,
-    ) -> Vec<Option<FleetPrediction>> {
-        self.serve_batch_impl(records, seed, threads, true, None)
+        self.serve_batch_impl(records, seed, threads, None)
     }
 
     /// [`GraficsFleet::serve_batch`] with *explicit* per-record stream
@@ -1614,31 +1461,7 @@ impl GraficsFleet {
             records.len(),
             "one stream index per record required"
         );
-        self.serve_batch_impl(records, seed, threads, false, Some(indices))
-    }
-
-    /// [`GraficsFleet::serve_batch_indexed`] with the cross-shard
-    /// broadcast fallback of [`GraficsFleet::serve_batch_with_fallback`]
-    /// (the fallback broadcast also uses the record's explicit stream
-    /// index).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `indices.len() != records.len()`.
-    #[must_use]
-    pub fn serve_batch_indexed_with_fallback(
-        &self,
-        records: &[SignalRecord],
-        indices: &[u64],
-        seed: u64,
-        threads: usize,
-    ) -> Vec<Option<FleetPrediction>> {
-        assert_eq!(
-            indices.len(),
-            records.len(),
-            "one stream index per record required"
-        );
-        self.serve_batch_impl(records, seed, threads, true, Some(indices))
+        self.serve_batch_impl(records, seed, threads, Some(indices))
     }
 
     fn serve_batch_impl(
@@ -1646,7 +1469,6 @@ impl GraficsFleet {
         records: &[SignalRecord],
         seed: u64,
         threads: usize,
-        fallback: bool,
         indices: Option<&[u64]>,
     ) -> Vec<Option<FleetPrediction>> {
         let mut out: Vec<Option<FleetPrediction>> = vec![None; records.len()];
@@ -1664,10 +1486,7 @@ impl GraficsFleet {
             None => (0..records.len()).collect(),
         };
         // Deterministic serial routing pass: shard index per record.
-        let routes: Vec<Option<usize>> = records
-            .iter()
-            .map(|r| self.route_slot(&snapshots, &index, r))
-            .collect();
+        let routes: Vec<Option<usize>> = records.iter().map(|r| index.route_slot(r)).collect();
 
         let serve_chunk = |record_chunk: &[SignalRecord],
                            stream_chunk: &[usize],
@@ -1680,40 +1499,29 @@ impl GraficsFleet {
             // same frozen epoch by construction.
             let mut sessions: Vec<Option<GraficsServer<&Grafics>>> =
                 (0..snapshots.len()).map(|_| None).collect();
-            // Broadcast fallbacks share one scratch pair across the
-            // chunk too, instead of a fresh session per shard.
-            let mut counters = ServeCounters::default();
-            for (k, (record, (route, slot))) in record_chunk
+            for ((record, stream), (route, slot)) in record_chunk
                 .iter()
+                .zip(stream_chunk)
                 .zip(route_chunk.iter().zip(out_chunk))
-                .enumerate()
             {
-                let stream = stream_chunk[k];
                 let Some(sidx) = *route else {
-                    if fallback {
-                        // Unroutable: broadcast, every shard on the same
-                        // per-record stream.
-                        *slot = self.broadcast_best(&snapshots, record, &mut counters, |_| {
-                            record_rng(seed, stream)
-                        });
-                    }
                     continue;
                 };
                 let server = sessions[sidx].get_or_insert_with(|| {
                     GraficsServer::with_policy(&*snapshots[sidx].1, self.serving)
                 });
-                let mut rng = record_rng(seed, stream);
+                let mut rng = record_rng(seed, *stream);
                 *slot = server
                     .infer_with_margin(record, &mut rng)
                     .ok()
                     .map(|answer| self.routed(sidx, answer));
             }
+            let mut counters = ServeCounters::default();
             for server in sessions.iter_mut().flatten() {
                 counters.merge(server.take_counters());
             }
             self.metrics.flush(counters);
         };
-
         let workers = threads.clamp(1, records.len());
         if workers == 1 {
             serve_chunk(records, &streams, &routes, &mut out);

@@ -62,7 +62,7 @@ pub use fleet::{
 };
 pub use grafics_cluster::{ClusterError, Prediction};
 pub use grafics_types::{DurabilityPolicy, RefreshTrigger};
-pub use route::{RouteIndex, Router, RouterKind};
+pub use route::{RouteIndex, RouterKind};
 pub use server::{record_rng, GraficsServer, ServeCounters};
 // The serving knobs live with their stages; re-export so serving tiers
 // need only this crate.

@@ -1,12 +1,10 @@
 //! Building routing: which shard's AP inventory a scan belongs to. The
 //! fleet and the router tier both route through one [`RouteIndex`].
 
-use crate::Grafics;
 use grafics_graph::WeightFunction;
 use grafics_types::{BuildingId, MacAddr, SignalRecord};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
-use std::sync::Arc;
 
 /// The fleet's routing rule — persisted in the fleet directory manifest
 /// so a reloaded fleet routes exactly like the one that saved it.
@@ -19,22 +17,6 @@ pub enum RouterKind {
     /// strong in-building readings over stray hotspots heard through a
     /// wall.
     WeightedOverlap,
-}
-
-/// A custom routing rule, for fleets built with
-/// [`GraficsFleet::with_router`](crate::GraficsFleet::with_router) (e.g.
-/// a test fake that declines everything to force the broadcast
-/// fallback). Implementations must be deterministic — routing is part of
-/// the fleet's reproducibility contract.
-pub trait Router: Send + Sync {
-    /// Picks the shard for `record` from the published snapshots (sorted
-    /// ascending by [`BuildingId`]), or `None` to discard the record as
-    /// outside every building.
-    fn route(
-        &self,
-        snapshots: &[(BuildingId, Arc<Grafics>)],
-        record: &SignalRecord,
-    ) -> Option<BuildingId>;
 }
 
 /// An inverted MAC → building index applying one [`RouterKind`], so a

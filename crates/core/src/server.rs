@@ -251,16 +251,28 @@ impl<M: Deref<Target = Grafics>> GraficsServer<M> {
         record: &SignalRecord,
         rng: &mut R,
     ) -> Result<(Prediction, f64), GraficsError> {
-        serve_with_margin_scratch(
-            &self.model,
+        let model = &*self.model;
+        let query = embed_with_budget(
+            model,
             &mut self.scratch,
             &mut self.matching,
             self.budget,
-            self.precision,
             &mut self.counters,
             record,
             rng,
-        )
+        )?;
+        match self.precision {
+            MatchPrecision::F64 => Ok(model.clusters.predict_with_margin(query)?),
+            MatchPrecision::F32Refined => {
+                let (pred, margin, fell_back) = model
+                    .clusters
+                    .predict_with_margin_f32(query, &mut self.matching)?;
+                if fell_back {
+                    self.counters.f32_fallbacks += 1;
+                }
+                Ok((pred, margin))
+            }
+        }
     }
 
     /// The shared model this session serves.
@@ -279,35 +291,6 @@ impl<M: Deref<Target = Grafics>> GraficsServer<M> {
     /// workers flush into process-wide metrics without double counting.
     pub fn take_counters(&mut self) -> ServeCounters {
         std::mem::take(&mut self.counters)
-    }
-}
-
-/// One serving query over caller-owned scratch: embed under `budget`,
-/// match under `precision`. Backs both [`GraficsServer::infer_with_margin`]
-/// and the fleet's broadcast fallback, which sweeps many shards with a
-/// single scratch pair instead of a fresh session per shard.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn serve_with_margin_scratch<R: Rng + ?Sized>(
-    model: &Grafics,
-    scratch: &mut grafics_embed::OnlineScratch,
-    matching: &mut grafics_cluster::MatchScratch,
-    budget: OnlineBudget,
-    precision: MatchPrecision,
-    counters: &mut ServeCounters,
-    record: &SignalRecord,
-    rng: &mut R,
-) -> Result<(Prediction, f64), GraficsError> {
-    let query = embed_with_budget(model, scratch, matching, budget, counters, record, rng)?;
-    match precision {
-        MatchPrecision::F64 => Ok(model.clusters.predict_with_margin(query)?),
-        MatchPrecision::F32Refined => {
-            let (pred, margin, fell_back) =
-                model.clusters.predict_with_margin_f32(query, matching)?;
-            if fell_back {
-                counters.f32_fallbacks += 1;
-            }
-            Ok((pred, margin))
-        }
     }
 }
 

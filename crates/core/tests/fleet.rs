@@ -3,8 +3,8 @@
 //! negative sampler exact, and lossless migration of pre-fleet models.
 
 use grafics_core::{
-    record_rng, FleetManifest, Grafics, GraficsConfig, GraficsFleet, GraficsServer,
-    MaintenancePolicy, RetentionPolicy, Router, RouterKind, Shard,
+    record_rng, FleetManifest, Grafics, GraficsConfig, GraficsFleet, MaintenancePolicy,
+    RetentionPolicy, RouterKind, Shard,
 };
 use grafics_data::BuildingModel;
 use grafics_types::{BuildingId, SignalRecord};
@@ -521,75 +521,6 @@ fn weighted_router_sends_records_home() {
         routed_home * 20 >= routed * 19,
         "weighted router must send records home: {routed_home}/{routed}"
     );
-}
-
-/// A router that always declines, forcing the broadcast fallback.
-struct NeverRoute;
-
-impl Router for NeverRoute {
-    fn route(
-        &self,
-        _snapshots: &[(BuildingId, std::sync::Arc<Grafics>)],
-        _record: &SignalRecord,
-    ) -> Option<BuildingId> {
-        None
-    }
-}
-
-/// Satellite (fallback): a record the router declines is served by
-/// broadcasting to all shards — the winner is the best-distance shard,
-/// its answer bit-identical to routing there directly with the same
-/// stream — and flagged; `serve_batch` (no fallback) still yields `None`.
-#[test]
-fn noroute_broadcast_takes_best_distance_and_flags_it() {
-    let (models, stream) = fleet_fixture();
-    let mut fleet = GraficsFleet::with_router(Box::new(NeverRoute));
-    for (id, model) in models {
-        fleet.add_shard(*id, model.clone()).unwrap();
-    }
-    let records: Vec<SignalRecord> = stream.iter().map(|(_, r)| r.clone()).take(15).collect();
-    let seed = 2025u64;
-
-    assert!(
-        fleet
-            .serve_batch(&records, seed, 1)
-            .iter()
-            .all(Option::is_none),
-        "without fallback, a declining router serves nothing"
-    );
-
-    let served = fleet.serve_batch_with_fallback(&records, seed, 2);
-    let mut answered = 0usize;
-    for (i, out) in served.iter().enumerate() {
-        let Some(pred) = out else { continue };
-        answered += 1;
-        assert!(pred.fallback, "record {i} must be flagged as fallback");
-        // Reference: every shard serves the record on the same stream;
-        // the best distance (ties → lowest id) must be the answer.
-        let mut best: Option<(f64, BuildingId, i16)> = None;
-        for shard in fleet.shards() {
-            let mut rng = record_rng(seed, i);
-            let Ok(r) = GraficsServer::over(shard.snapshot()).infer(&records[i], &mut rng) else {
-                continue;
-            };
-            if best.is_none_or(|(d, _, _)| r.distance < d) {
-                best = Some((r.distance, shard.id(), r.floor.0));
-            }
-        }
-        let (distance, building, floor) = best.expect("served record has a serving shard");
-        assert_eq!(pred.building, building, "record {i}");
-        assert_eq!(pred.floor.0, floor, "record {i}");
-        assert_eq!(pred.distance.to_bits(), distance.to_bits(), "record {i}");
-    }
-    assert!(answered * 10 >= records.len() * 9, "answered {answered}");
-
-    // The single-record path agrees with the batch path.
-    let mut rng = record_rng(seed, 0);
-    let single = fleet.serve_with_fallback(&records[0], &mut rng).unwrap();
-    let batch0 = served[0].unwrap();
-    assert_eq!(single.building, batch0.building);
-    assert_eq!(single.distance.to_bits(), batch0.distance.to_bits());
-    assert!(single.fallback);
 }
 
 /// `Shard::refresh_write_side` keeps the few-labelled-seeds regime (one

@@ -1,12 +1,14 @@
 //! The route index against the per-building scan it replaced: for random
 //! fleets that share MACs, random records (with and without any overlap)
 //! and exact weight ties, both routing rules pick the same building. A
-//! real fleet routes through the index exactly as through the scan, and
-//! a publish that grows a shard's AP inventory re-routes the very next
-//! query.
+//! real fleet routes and serves through the index exactly as the scan
+//! over its snapshots picks, a record routes nowhere exactly when no
+//! shard could embed it, and a publish that grows a shard's AP inventory
+//! re-routes the very next query.
 
 use grafics_core::{
-    Grafics, GraficsConfig, GraficsFleet, RouteIndex, Router, RouterKind, WeightFunction,
+    record_rng, FleetPrediction, Grafics, GraficsConfig, GraficsError, GraficsFleet, GraficsServer,
+    RouteIndex, RouterKind, WeightFunction,
 };
 use grafics_data::BuildingModel;
 use grafics_types::{BuildingId, MacAddr, Reading, Rssi, SignalRecord};
@@ -70,24 +72,6 @@ fn scan_inventories(
         |i, m| inventories[i].2.contains(&m),
         record,
     )
-}
-
-/// The scan as a custom [`Router`] over a fleet's published snapshots.
-struct ScanRouter(RouterKind);
-
-impl Router for ScanRouter {
-    fn route(
-        &self,
-        snapshots: &[(BuildingId, Arc<Grafics>)],
-        record: &SignalRecord,
-    ) -> Option<BuildingId> {
-        let buildings: Vec<_> = snapshots
-            .iter()
-            .map(|(id, snap)| (*id, snap.graph().weight_function()))
-            .collect();
-        let knows = |i: usize, m| snapshots[i].1.graph().mac_node(m).is_some();
-        scan(self.0, &buildings, knows, record)
-    }
 }
 
 fn record(readings: &[(u64, f64)]) -> SignalRecord {
@@ -237,25 +221,35 @@ fn weighted_routing_ties_go_to_the_lowest_building() {
     );
 }
 
-/// Two trained buildings and their held-out records, trained once.
+/// Three trained buildings and their held-out records, trained once.
+/// The third weighs its edges by [`WeightFunction::Power`], the first two
+/// by the default offset.
 fn trained() -> &'static Vec<(Grafics, Vec<SignalRecord>)> {
     static TRAINED: OnceLock<Vec<(Grafics, Vec<SignalRecord>)>> = OnceLock::new();
     TRAINED.get_or_init(|| {
-        ["route-a", "route-b"]
-            .iter()
-            .enumerate()
-            .map(|(i, name)| {
-                let mut rng = ChaCha8Rng::seed_from_u64(500 + i as u64);
-                let ds = BuildingModel::office(name, 2)
-                    .with_records_per_floor(30)
-                    .simulate(&mut rng);
-                let split = ds.split(0.7, &mut rng).unwrap();
-                let train = split.train.with_label_budget(4, &mut rng);
-                let model = Grafics::train(&train, &GraficsConfig::fast(), &mut rng).unwrap();
-                let held_out = split.test.samples().iter().map(|s| s.record.clone());
-                (model, held_out.collect())
-            })
-            .collect()
+        [
+            ("route-a", WeightFunction::default()),
+            ("route-b", WeightFunction::default()),
+            ("route-c", WeightFunction::Power),
+        ]
+        .iter()
+        .enumerate()
+        .map(|(i, &(name, weight_function))| {
+            let mut rng = ChaCha8Rng::seed_from_u64(500 + i as u64);
+            let ds = BuildingModel::office(name, 2)
+                .with_records_per_floor(30)
+                .simulate(&mut rng);
+            let split = ds.split(0.7, &mut rng).unwrap();
+            let train = split.train.with_label_budget(4, &mut rng);
+            let config = GraficsConfig {
+                weight_function,
+                ..GraficsConfig::fast()
+            };
+            let model = Grafics::train(&train, &config, &mut rng).unwrap();
+            let held_out = split.test.samples().iter().map(|s| s.record.clone());
+            (model, held_out.collect())
+        })
+        .collect()
     })
 }
 
@@ -268,8 +262,22 @@ fn with_buildings(mut fleet: GraficsFleet) -> GraficsFleet {
     fleet
 }
 
-/// A real fleet routes and serves through the cached index exactly as
-/// through the scan over its snapshots.
+/// A prediction as comparable bits: building, floor, distance, margin.
+fn bits(p: &Option<FleetPrediction>) -> Option<(BuildingId, i16, u64, u64)> {
+    p.map(|p| {
+        (
+            p.building,
+            p.floor.0,
+            p.distance.to_bits(),
+            p.margin.to_bits(),
+        )
+    })
+}
+
+/// A real fleet routes through the cached index exactly where the scan
+/// over its published snapshots picks, and `serve_batch` answers each
+/// record bit for bit as serving it on the scanned shard with its own
+/// `record_rng(11, i)` stream.
 #[test]
 fn fleet_index_matches_the_scan_router() {
     let records: Vec<SignalRecord> = trained()
@@ -278,17 +286,111 @@ fn fleet_index_matches_the_scan_router() {
         .chain([record(&[(0xdead_beef, -50.0)])])
         .collect();
     for kind in [RouterKind::Overlap, RouterKind::WeightedOverlap] {
-        let mut indexed = GraficsFleet::new();
-        indexed.set_router(kind);
-        let indexed = with_buildings(indexed);
-        let scanned = with_buildings(GraficsFleet::with_router(Box::new(ScanRouter(kind))));
-        for r in &records {
-            assert_eq!(indexed.route(r), scanned.route(r), "{kind:?}");
+        let mut fleet = GraficsFleet::new();
+        fleet.set_router(kind);
+        let fleet = with_buildings(fleet);
+        let snapshots = fleet.snapshots();
+        let buildings: Vec<_> = snapshots
+            .iter()
+            .map(|(id, snap)| (*id, snap.graph().weight_function()))
+            .collect();
+        let knows = |i: usize, m| snapshots[i].1.graph().mac_node(m).is_some();
+        let served = fleet.serve_batch(&records, 11, 2);
+        for (i, r) in records.iter().enumerate() {
+            let picked = scan(kind, &buildings, knows, r);
+            assert_eq!(fleet.route(r), picked, "{kind:?} record {i}");
+            let expected = picked.and_then(|id| {
+                let slot = snapshots.iter().position(|(sid, _)| *sid == id)?;
+                let mut server = GraficsServer::over(Arc::clone(&snapshots[slot].1));
+                let (pred, margin) = server.infer_with_margin(r, &mut record_rng(11, i)).ok()?;
+                Some(FleetPrediction {
+                    building: id,
+                    floor: pred.floor,
+                    distance: pred.distance,
+                    margin,
+                })
+            });
+            assert_eq!(bits(&served[i]), bits(&expected), "{kind:?} record {i}");
         }
-        assert_eq!(indexed.route(&trained()[0].1[0]), Some(BuildingId(1)));
-        let a = indexed.serve_batch(&records, 11, 2);
-        let b = scanned.serve_batch(&records, 11, 1);
-        assert_eq!(a, b, "{kind:?}");
+        assert_eq!(fleet.route(&trained()[0].1[0]), Some(BuildingId(1)));
+    }
+}
+
+/// A random fleet over the trained buildings (a building may appear under
+/// several ids, so routes tie) and records mixing known MACs, MACs no
+/// building knows, and RSS values at both ends of the range (at
+/// −120 dBm both weight functions sit on their positive floor).
+fn random_fleet_case(seed: u64) -> (GraficsFleet, Vec<SignalRecord>) {
+    let mut rng = ChaCha8Rng::seed_from_u64(seed);
+    let models = trained();
+    let mut fleet = GraficsFleet::new();
+    let mut id = 0u32;
+    for _ in 0..rng.gen_range(0..6usize) {
+        id += rng.gen_range(1..4u32);
+        let model = &models[rng.gen_range(0..models.len())].0;
+        fleet.add_shard(BuildingId(id), model.clone()).unwrap();
+    }
+    let known: BTreeSet<MacAddr> = models.iter().flat_map(|(m, _)| m.graph().macs()).collect();
+    let known: Vec<MacAddr> = known.into_iter().collect();
+    let levels = [-120.0, -119.0, -60.0, 19.0, 20.0];
+    let records = (0..24)
+        .map(|_| {
+            let mut readings: Vec<(u64, f64)> = Vec::new();
+            for _ in 0..rng.gen_range(0..4usize) {
+                let mac = known[rng.gen_range(0..known.len())];
+                readings.push((mac.as_u64(), levels[rng.gen_range(0..levels.len())]));
+            }
+            while readings.is_empty() || rng.gen_bool(0.4) {
+                let mac = MacAddr::from_u64(rng.gen_range(0..1u64 << 48));
+                if known.binary_search(&mac).is_err() {
+                    readings.push((mac.as_u64(), levels[rng.gen_range(0..levels.len())]));
+                }
+            }
+            record(&readings)
+        })
+        .collect();
+    (fleet, records)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// The invariant that makes a cross-shard broadcast pointless: under
+    /// both rules a record routes nowhere exactly when no published
+    /// shard's graph overlaps it, and then every shard refuses to embed
+    /// it as outside the building.
+    #[test]
+    fn unroutable_records_are_outside_every_building(seed in any::<u64>()) {
+        let (mut fleet, records) = random_fleet_case(seed);
+        for kind in [RouterKind::Overlap, RouterKind::WeightedOverlap] {
+            fleet.set_router(kind);
+            let snapshots = fleet.snapshots();
+            for (i, r) in records.iter().enumerate() {
+                let overlapped = snapshots.iter().any(|(_, snap)| snap.graph().overlaps(r));
+                prop_assert_eq!(
+                    fleet.route(r).is_none(),
+                    !overlapped,
+                    "{:?} record {}",
+                    kind,
+                    i
+                );
+                if overlapped {
+                    continue;
+                }
+                for (id, snap) in &snapshots {
+                    let answer = GraficsServer::over(Arc::clone(snap))
+                        .infer(r, &mut record_rng(seed, i));
+                    prop_assert!(
+                        matches!(answer, Err(GraficsError::OutsideBuilding)),
+                        "{:?} record {} on {}: {:?}",
+                        kind,
+                        i,
+                        id,
+                        answer
+                    );
+                }
+            }
+        }
     }
 }
 

@@ -20,7 +20,7 @@
 //!   [`GraficsFleet`](grafics_core::GraficsFleet) through the timeline
 //!   (in-process, or through a real `grafics-serve` HTTP server for
 //!   end-to-end parity) and emit a [`ScenarioReport`]: accuracy,
-//!   floor-margin quantiles, fallback rate, shard memory and
+//!   floor-margin quantiles, resident records and
 //!   refresh/publish counts per epoch.
 //! - [`RefreshMode`] — what closes the loop: replay the same timeline
 //!   under a fixed refresh cadence or under

@@ -55,9 +55,9 @@ pub enum Event {
         pop_weights: Vec<f64>,
     },
     /// Podium/atrium records: with probability `frac`, a generated
-    /// record also hears the strongest APs of a *neighbouring* building
-    /// — exactly the records a strict overlap router declines, stressing
-    /// the broadcast-fallback path.
+    /// record also hears the strongest APs of a *neighbouring* building.
+    /// Such a record routes to the building it overlaps most, so a heavy
+    /// bleed can send it to the wrong building and costs accuracy.
     CrossBuildingBleed {
         /// Fraction of records that straddle two buildings (0..=1).
         frac: f64,
@@ -143,7 +143,8 @@ impl Scenario {
     ///   a linear power ramp, and a cheap-handset population arriving
     ///   mid-timeline.
     /// - `podium` — two malls over a shared podium: a third of records
-    ///   straddle buildings, stressing router fallback.
+    ///   straddle buildings, stressing routing (each routes to the
+    ///   building it overlaps most).
     #[must_use]
     pub fn preset(name: &str) -> Option<Scenario> {
         let base = |name: &str, epochs: Vec<Epoch>| Scenario {

@@ -98,8 +98,6 @@ pub struct EpochReport {
     /// unserved probe counts as wrong — dropping a record is not a
     /// free pass).
     pub accuracy: f64,
-    /// Served answers that came from the broadcast fallback.
-    pub fallback_rate: f64,
     /// p10 of the served finite floor margins (0 when none).
     pub margin_p10: f64,
     /// p50 of the served finite floor margins (0 when none).
@@ -286,7 +284,7 @@ fn epoch_streams(
 }
 
 /// One prediction in driver-neutral form.
-type Flat = Option<(u32, i16, f64, bool)>; // (building, floor, margin, fallback)
+type Flat = Option<(u32, i16, f64)>; // (building, floor, margin)
 
 /// Scores one epoch's probes and fills the serving half of its report.
 fn score(
@@ -296,14 +294,12 @@ fn score(
 ) {
     let mut served = 0usize;
     let mut hits = 0usize;
-    let mut fallbacks = 0usize;
     let mut margins: Vec<f64> = Vec::new();
     for ((b, truth, _), pred) in probes.iter().zip(predictions) {
-        let Some((building, floor, margin, fallback)) = pred else {
+        let Some((building, floor, margin)) = pred else {
             continue;
         };
         served += 1;
-        fallbacks += usize::from(*fallback);
         if *building == *b as u32 && *floor == truth.0 {
             hits += 1;
         }
@@ -326,11 +322,6 @@ fn score(
     } else {
         hits as f64 / probes.len() as f64
     };
-    report.fallback_rate = if served == 0 {
-        0.0
-    } else {
-        fallbacks as f64 / served as f64
-    };
     report.margin_p10 = q(0.10);
     report.margin_p50 = q(0.50);
 }
@@ -341,7 +332,6 @@ fn blank_report(label: &str) -> EpochReport {
         probes: 0,
         served: 0,
         accuracy: 0.0,
-        fallback_rate: 0.0,
         margin_p10: 0.0,
         margin_p50: 0.0,
         resident_records: 0,
@@ -428,14 +418,10 @@ pub fn replay(scenario: &Scenario, cfg: &ReplayConfig) -> Result<ScenarioReport,
 
         // Probe and score.
         let records: Vec<SignalRecord> = streams.probes.iter().map(|(_, _, r)| r.clone()).collect();
-        let predictions =
-            fleet.serve_batch_with_fallback(&records, epoch_seed(cfg.seed, e), cfg.threads);
+        let predictions = fleet.serve_batch(&records, epoch_seed(cfg.seed, e), cfg.threads);
         let flat: Vec<Flat> = predictions
             .iter()
-            .map(|p| {
-                p.as_ref()
-                    .map(|p| (p.building.0, p.floor.0, p.margin, p.fallback))
-            })
+            .map(|p| p.as_ref().map(|p| (p.building.0, p.floor.0, p.margin)))
             .collect();
         score(&streams.probes, &flat, &mut report);
         report.resident_records = fleet
@@ -527,7 +513,6 @@ fn drive_http(
             "records": records,
             "seed": epoch_seed(cfg.seed, e),
             "threads": cfg.threads,
-            "fallback": true,
         }))
         .unwrap_or_default();
         let (status, body) = client.post("/v1/infer_batch", &body)?;
@@ -542,14 +527,8 @@ fn drive_http(
             .predictions
             .iter()
             .map(|p| {
-                p.as_ref().map(|p| {
-                    (
-                        p.building,
-                        p.floor,
-                        p.margin.unwrap_or(f64::INFINITY),
-                        p.fallback,
-                    )
-                })
+                p.as_ref()
+                    .map(|p| (p.building, p.floor, p.margin.unwrap_or(f64::INFINITY)))
             })
             .collect();
         score(&streams.probes, &flat, &mut report);

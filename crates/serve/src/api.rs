@@ -28,9 +28,6 @@ pub struct PredictionBody {
     /// single-floor shards, where the in-process margin is `+∞` (JSON
     /// has no infinities; `null` keeps the typed body deserializable).
     pub margin: Option<f64>,
-    /// `true` if the answer came from the cross-shard broadcast
-    /// fallback rather than the router.
-    pub fallback: bool,
 }
 
 impl From<&FleetPrediction> for PredictionBody {
@@ -41,7 +38,6 @@ impl From<&FleetPrediction> for PredictionBody {
             floor_name: p.floor.to_string(),
             distance: p.distance,
             margin: p.margin.is_finite().then_some(p.margin),
-            fallback: p.fallback,
         }
     }
 }
@@ -143,7 +139,9 @@ pub struct InferRequest {
     pub record: SignalRecord,
     /// RNG stream base seed (default 0).
     pub seed: Option<u64>,
-    /// Broadcast to every shard when the router declines the record.
+    /// Router tier only: scatter the record across the live backends
+    /// when the router finds no owner for it or the owner fails. A
+    /// backend ignores it.
     pub fallback: Option<bool>,
     /// RNG stream index for the record (default 0). A router forwarding
     /// record `i` of a batch sets `i` so the answer is bit-identical to
@@ -160,7 +158,7 @@ pub struct InferBatchRequest {
     pub seed: Option<u64>,
     /// Worker threads for this batch (clamped to 1..=16).
     pub threads: Option<usize>,
-    /// Broadcast unroutable records to every shard.
+    /// Router tier only, as in [`InferRequest::fallback`].
     pub fallback: Option<bool>,
     /// Per-record RNG stream indices (default `0..records.len()`). Set
     /// by a router splitting one logical batch across backends.
@@ -229,14 +227,11 @@ pub(crate) fn sanitize(record: &SignalRecord) -> Result<SignalRecord, ApiResult>
 }
 
 /// What a handled request touched, for the structured access log: the
-/// shard that answered (when one did) and whether the answer came from
-/// the cross-shard broadcast fallback.
+/// shard that answered (when one did).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RequestMeta {
     /// The shard that answered/absorbed, if the endpoint resolved one.
     pub shard: Option<u32>,
-    /// `true` if a serving answer came from the broadcast fallback.
-    pub fallback: bool,
 }
 
 /// Constant-time bearer-token check: `authorization` must be exactly
@@ -476,19 +471,12 @@ fn infer(
     let seed = req.seed.unwrap_or(0);
     let records = [record];
     let indices = [req.index.unwrap_or(0)];
-    let preds = if req.fallback.unwrap_or(false) {
-        state
-            .fleet()
-            .serve_batch_indexed_with_fallback(&records, &indices, seed, 1)
-    } else {
-        state
-            .fleet()
-            .serve_batch_indexed(&records, &indices, seed, 1)
-    };
+    let preds = state
+        .fleet()
+        .serve_batch_indexed(&records, &indices, seed, 1);
     match &preds[0] {
         Some(p) => {
             meta.shard = Some(p.building.0);
-            meta.fallback = p.fallback;
             Ok(json_into(200, &PredictionBody::from(p), out))
         }
         None => Err(error_body(
@@ -516,13 +504,10 @@ fn infer_batch(state: &FleetState, body: &[u8], out: &mut String) -> Result<u16,
     {
         return Err(error_body(400, "indices length must match records length"));
     }
-    let fallback = req.fallback.unwrap_or(false);
     let fleet = state.fleet();
-    let preds = match (&req.indices, fallback) {
-        (Some(idx), true) => fleet.serve_batch_indexed_with_fallback(&records, idx, seed, threads),
-        (Some(idx), false) => fleet.serve_batch_indexed(&records, idx, seed, threads),
-        (None, true) => fleet.serve_batch_with_fallback(&records, seed, threads),
-        (None, false) => fleet.serve_batch(&records, seed, threads),
+    let preds = match &req.indices {
+        Some(idx) => fleet.serve_batch_indexed(&records, idx, seed, threads),
+        None => fleet.serve_batch(&records, seed, threads),
     };
     let predictions: Vec<Option<PredictionBody>> = preds
         .iter()

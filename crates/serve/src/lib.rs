@@ -9,8 +9,8 @@
 //!
 //! | method | path | body | answer |
 //! |---|---|---|---|
-//! | `POST` | `/v1/infer` | `{"record": {...}, "seed"?, "fallback"?}` | building, floor, distance, margin |
-//! | `POST` | `/v1/infer_batch` | `{"records": [...], "seed"?, "threads"?, "fallback"?}` | one slot per record |
+//! | `POST` | `/v1/infer` | `{"record": {...}, "seed"?, "index"?}` | building, floor, distance, margin |
+//! | `POST` | `/v1/infer_batch` | `{"records": [...], "seed"?, "threads"?, "indices"?}` | one slot per record |
 //! | `POST` | `/v1/absorb` | `{"record": {...}, "building"?}` | routed building, record id, pending |
 //! | `POST` | `/v1/publish` | `{"building"?}` or empty | new epochs |
 //! | `GET` | `/v1/stat` | — | [`FleetStats`](grafics_core::FleetStats) |
@@ -24,7 +24,13 @@
 //! rather than acknowledging records it cannot make durable. Graceful
 //! shutdown drains and fsyncs the WAL tail before `run` returns. With
 //! `ServeConfig::access_log` set, every request appends one JSON line
-//! (endpoint, method, status, latency µs, shard, fallback flag).
+//! (endpoint, method, status, latency µs, shard).
+//!
+//! A record that overlaps no shard's AP inventory is answered 422 (a
+//! `null` slot in a batch): no shard could embed it. The `"fallback"`
+//! request flag is read only by the [`router`] tier, which scatters
+//! across backends when it finds no owner or the owner fails; a backend
+//! ignores it.
 //!
 //! Serving is **bit-identical to the in-process engine**: an
 //! `/v1/infer_batch` call with seed `s` returns exactly

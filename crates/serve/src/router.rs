@@ -24,20 +24,22 @@
 //! decision *exactly*. A routed record is forwarded with its original RNG
 //! stream index (`index`/`indices` on the infer endpoints), so a proxied
 //! fleet answers **bit-for-bit** what a single process holding every
-//! shard would answer. Cross-backend fallback merges per-backend
-//! broadcast winners by strict-smaller distance with the same
-//! ascending-id tie-break, composing to the single-process broadcast.
+//! shard would answer.
 //!
 //! # Degraded mode
 //!
 //! A Down backend (prober) or open breaker (hot path) excludes its
 //! shards. Requests that needed them fail fast with the backend's state
 //! in the error, or — with `"fallback": true` — are answered by
-//! scatter-gather over the live backends. Any response missing part of
-//! the fleet carries `"degraded": true` (batch body) and an
-//! `X-Grafics-Degraded: true` header. Absorbs and publishes are **never
-//! retried or rerouted**: a lost response does not mean an unprocessed
-//! request, so the router surfaces 502/503 and lets the operator decide.
+//! scatter-gather: every live backend answers with its own *routed*
+//! answer (the shard it holds that the record overlaps most), and the
+//! router keeps the smallest distance, ties to the lowest building id.
+//! A backend holding no shard the record overlaps answers 422 and
+//! contributes nothing. Any response missing part of the fleet carries
+//! `"degraded": true` (batch body) and an `X-Grafics-Degraded: true`
+//! header. Absorbs and publishes are **never retried or rerouted**: a
+//! lost response does not mean an unprocessed request, so the router
+//! surfaces 502/503 and lets the operator decide.
 
 use crate::api::{
     self, AbsorbRequest, BatchBody, EpochBody, InferBatchRequest, InferRequest, PredictionBody,
@@ -450,7 +452,6 @@ struct SubBatchRequest {
     records: Vec<SignalRecord>,
     seed: u64,
     threads: usize,
-    fallback: bool,
     indices: Vec<u64>,
 }
 
@@ -459,7 +460,6 @@ struct SubBatchRequest {
 struct SubInferRequest {
     record: SignalRecord,
     seed: u64,
-    fallback: bool,
     index: u64,
 }
 
@@ -750,16 +750,14 @@ fn backend_name(state: &RouterState, idx: usize) -> String {
     format!("backend {}", state.backends[idx].status.name())
 }
 
-/// Fallback for one record: ask every live backend (with
-/// `fallback: true` and the original stream index) and return the
-/// smallest-distance answer verbatim, ties to the lowest building id —
-/// the exact cross-backend composition of the single-process broadcast.
+/// Fallback for one record: ask every live backend (with the original
+/// stream index) for its routed answer and return the smallest-distance
+/// one verbatim, ties to the lowest building id.
 fn scatter_infer(state: &RouterState, record: &SignalRecord, req: &InferRequest) -> Resp {
     state.scatter_gathers.fetch_add(1, Ordering::Relaxed);
     let sub = SubInferRequest {
         record: record.clone(),
         seed: req.seed.unwrap_or(0),
-        fallback: true,
         index: req.index.unwrap_or(0),
     };
     let Ok(sub_body) = serde_json::to_string(&sub) else {
@@ -889,7 +887,6 @@ fn infer_batch(state: &RouterState, body: &[u8]) -> Resp {
                         records: positions.iter().map(|&p| records[p].clone()).collect(),
                         seed,
                         threads,
-                        fallback: false,
                         indices: positions.iter().map(|&p| indices[p]).collect(),
                     };
                     let sub_body = serde_json::to_string(&sub).ok()?;
@@ -929,8 +926,8 @@ fn infer_batch(state: &RouterState, body: &[u8]) -> Resp {
         }
     }
 
-    // Scatter-gather: broadcast the leftover records to every live
-    // backend with fallback=true and merge the per-backend winners.
+    // Scatter-gather: send the leftover records to every live backend
+    // and merge the per-backend routed answers.
     if !scatter.is_empty() {
         scatter.sort_unstable();
         state.scatter_gathers.fetch_add(1, Ordering::Relaxed);
@@ -938,7 +935,6 @@ fn infer_batch(state: &RouterState, body: &[u8]) -> Resp {
             records: scatter.iter().map(|&p| records[p].clone()).collect(),
             seed,
             threads,
-            fallback: true,
             indices: scatter.iter().map(|&p| indices[p]).collect(),
         };
         if let Ok(sub_body) = serde_json::to_string(&sub) {
@@ -975,8 +971,7 @@ fn infer_batch(state: &RouterState, body: &[u8]) -> Resp {
                 for (&pos, pred) in scatter.iter().zip(answer.predictions) {
                     let Some(pred) = pred else { continue };
                     // Strict-smaller distance wins; ties keep the lowest
-                    // building id — composing per-backend broadcasts to
-                    // the single-process broadcast bit-for-bit.
+                    // building id.
                     let better = slots[pos].as_ref().is_none_or(|cur| {
                         pred.distance < cur.distance
                             || (pred.distance == cur.distance && pred.building < cur.building)

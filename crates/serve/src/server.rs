@@ -48,7 +48,7 @@ pub struct ServeConfig {
     /// sets this; tests shut down via [`ServerHandle`] instead).
     pub handle_signals: bool,
     /// Structured access log: one JSON line per request (endpoint,
-    /// method, status, latency µs, answering shard, fallback flag)
+    /// method, status, latency µs, answering shard)
     /// appended to this file. `None` disables logging entirely.
     pub access_log: Option<PathBuf>,
     /// Bearer token required on `/v1/absorb` and `/v1/publish` (401
@@ -282,7 +282,6 @@ impl AccessLog {
             "status": status,
             "latency_us": u64::try_from(latency.as_micros()).unwrap_or(u64::MAX),
             "shard": meta.shard,
-            "fallback": meta.fallback,
         });
         let Ok(text) = serde_json::to_string(&line) else {
             return;

@@ -7,7 +7,7 @@
 
 use grafics_core::{
     DurabilityPolicy, FleetManifest, Grafics, GraficsConfig, GraficsFleet, MaintenancePolicy,
-    RetentionPolicy, Router, RouterKind,
+    RetentionPolicy, RouterKind,
 };
 use grafics_data::BuildingModel;
 use grafics_serve::{
@@ -104,7 +104,6 @@ fn batch_is_bit_identical_to_in_process_serve_batch() {
                     l.margin.to_bits(),
                     "record {i}"
                 );
-                assert!(!w.fallback, "record {i}");
             }
             (None, None) => {}
             _ => panic!("record {i}: presence differs between HTTP and in-process"),
@@ -633,67 +632,6 @@ fn single_floor_margin_is_null_not_a_parse_error() {
     server.shutdown().unwrap();
 }
 
-/// A router that always declines, forcing the broadcast fallback.
-struct NeverRoute;
-
-impl Router for NeverRoute {
-    fn route(
-        &self,
-        _snapshots: &[(BuildingId, std::sync::Arc<Grafics>)],
-        _record: &SignalRecord,
-    ) -> Option<BuildingId> {
-        None
-    }
-}
-
-/// The cross-shard fallback works over the wire: a declined record is
-/// served by the best-distance shard and flagged.
-#[test]
-fn fallback_flag_travels_over_http() {
-    let (models, queries) = fixture();
-    let mut fleet = GraficsFleet::with_router(Box::new(NeverRoute));
-    for (id, model) in models {
-        fleet.add_shard(*id, model.clone()).unwrap();
-    }
-    let reference = fleet.serve_batch_with_fallback(&queries[..4], 41, 1);
-
-    let mut served = GraficsFleet::with_router(Box::new(NeverRoute));
-    for (id, model) in models {
-        served.add_shard(*id, model.clone()).unwrap();
-    }
-    let server = spawn(served, ServeConfig::default());
-    let mut client = HttpClient::connect(server.addr()).unwrap();
-
-    // Without the flag every record is a 422 (NoRoute)…
-    let body = format!(
-        "{{\"record\":{},\"seed\":41}}",
-        serde_json::to_string(&queries[0]).unwrap()
-    );
-    let (status, _) = client.post("/v1/infer", &body).unwrap();
-    assert_eq!(status, 422);
-
-    // …with it, the broadcast answer comes back flagged and matches the
-    // in-process fallback batch bit-for-bit.
-    let body = format!(
-        "{{\"records\":{},\"seed\":41,\"fallback\":true}}",
-        records_json(&queries[..4])
-    );
-    let (status, response) = client.post("/v1/infer_batch", &body).unwrap();
-    assert_eq!(status, 200);
-    let batch: BatchBody = serde_json::from_str(&response).unwrap();
-    for (i, (wire, local)) in batch.predictions.iter().zip(&reference).enumerate() {
-        let (Some(w), Some(l)) = (wire, local) else {
-            assert_eq!(wire.is_some(), local.is_some(), "record {i}");
-            continue;
-        };
-        assert!(w.fallback, "record {i} must be flagged");
-        assert!(l.fallback, "record {i}");
-        assert_eq!(w.building, l.building.0, "record {i}");
-        assert_eq!(w.distance.to_bits(), l.distance.to_bits(), "record {i}");
-    }
-    server.shutdown().unwrap();
-}
-
 /// A fleet saved with a non-default manifest serves over HTTP with that
 /// configuration after a bare `load_dir` — no runtime flags.
 #[test]
@@ -986,7 +924,6 @@ fn access_log_records_one_line_per_request() {
     assert!(lines[0].contains("\"shard\":null"), "{log}");
     assert!(lines[1].contains("\"endpoint\":\"/v1/infer\""), "{log}");
     assert!(lines[1].contains("\"method\":\"POST\""), "{log}");
-    assert!(lines[1].contains("\"fallback\":false"), "{log}");
     // The infer line names the shard that answered.
     assert!(
         lines[1].contains("\"shard\":0") || lines[1].contains("\"shard\":1"),

