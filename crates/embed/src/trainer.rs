@@ -323,6 +323,9 @@ fn sample_negatives<R: Rng + ?Sized>(
 }
 
 #[cfg(test)]
+mod golden;
+
+#[cfg(test)]
 mod tests {
     use super::*;
     use grafics_graph::WeightFunction;
