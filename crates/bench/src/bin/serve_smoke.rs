@@ -43,8 +43,8 @@ use rand_chacha::ChaCha8Rng;
 use std::time::Instant;
 
 /// The pre-serving-engine online path, reproduced from the original
-/// `ElineTrainer::embed_new_node` + `Sgd::step` (E-LINE objective, the
-/// preset in use): per query it re-sweeps the `d_z^{3/4}` weights over the
+/// `ElineTrainer::embed_new_node` and its slice-based SGD step (E-LINE
+/// objective, the preset in use): per query it re-sweeps the `d_z^{3/4}` weights over the
 /// whole node space, builds two alias tables, embeds the new node with
 /// the exact-`exp` sigmoid and sequential dot/axpy kernels, and allocates
 /// its working vectors afresh — everything the engine now avoids.

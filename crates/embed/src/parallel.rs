@@ -158,7 +158,7 @@ trait HogwildScratch {
     fn negatives_mut(&mut self) -> &mut Vec<NodeIdx>;
 
     /// One lock-free directed step `src → tgt` with the currently drawn
-    /// negatives, mirroring `Sgd::step` with both sides updated.
+    /// negatives, mirroring the serial trainer's `sgd::step`.
     #[allow(clippy::too_many_arguments)]
     fn step(
         &mut self,

@@ -1,15 +1,16 @@
-//! Low-level SGD primitives shared by offline training and online
-//! embedding: one skip-gram-with-negative-sampling step over a directed
-//! (source → target) pair, plus the sigmoid lookup table reused by both
-//! the serial and the Hogwild trainers.
+//! Low-level SGD primitives: the serial trainer's one
+//! skip-gram-with-negative-sampling [`step`] over a directed
+//! (source → target) pair, monomorphised over the embedding dimension,
+//! plus the sigmoid lookup table and the negative-rejection policy
+//! shared with the Hogwild trainer and the online path.
 //!
 //! The dot / axpy kernels themselves live in the workspace-wide
 //! [`grafics_types::kernels`] layer (one copy shared with the cluster
 //! and `nn` crates); this module re-exports them under the historical
 //! names so the trainers keep reading naturally:
 //!
-//! - [`dot`] / [`axpy`] — sequential-exact, pinned by the serial
-//!   trainer's bit-stability guarantee;
+//! - [`dot`] / [`axpy`] — sequential-exact, the arithmetic of [`step`],
+//!   pinned by the serial trainer's golden hashes (`trainer/golden.rs`);
 //! - [`dot_fixed`] — fixed-lane FMA for the monomorphised 4/8/16 paths;
 //! - [`dot_lanes`] / [`axpy_lanes`] — the lane-blocked FMA path for
 //!   every other dimension (bit-identical to the fixed kernels at equal
@@ -18,6 +19,7 @@
 use crate::model::{EmbeddingModel, Space};
 use grafics_graph::NodeIdx;
 use rand::Rng;
+use std::hint::select_unpredictable;
 use std::sync::OnceLock;
 
 pub(crate) use grafics_types::kernels::{
@@ -87,85 +89,77 @@ pub(crate) fn fill_rejecting<T>(k: usize, out: &mut Vec<T>, mut draw: impl FnMut
 /// A row selector: which matrix, which node.
 pub(crate) type RowSel = (Space, NodeIdx);
 
-/// Reusable scratch buffers for pair updates (avoids per-step allocation).
-pub(crate) struct Sgd {
-    dim: usize,
-    src_copy: Vec<f32>,
-    src_grad: Vec<f32>,
+/// `row` at the step's compile-time length: for `DIM > 0` one length
+/// check turns it into `&mut [f32; DIM]`, so every loop over it has a
+/// constant trip count and no bounds checks; `DIM == 0` keeps the
+/// runtime length.
+#[inline(always)]
+fn fixed<const DIM: usize>(row: &mut [f32]) -> &mut [f32] {
+    if DIM == 0 {
+        row
+    } else {
+        <&mut [f32; DIM]>::try_from(row).expect("row length equals DIM")
+    }
 }
 
-impl Sgd {
-    pub(crate) fn new(dim: usize) -> Self {
-        Sgd {
-            dim,
-            src_copy: vec![0.0; dim],
-            src_grad: vec![0.0; dim],
-        }
+/// The serial trainer's one SGD step: the directed positive pair
+/// `src → tgt` plus `negatives` (rows of the target's space), with
+/// learning rate `lr`. Every row involved is written: the targets in
+/// turn, then the source once from its accumulated gradient. `dropout`
+/// drops each *source-gradient* coordinate with the given probability
+/// (the paper trains E-LINE with dropout 0.1).
+///
+/// For `DIM > 0` the source row is copied into a local `[f32; DIM]`,
+/// the gradient accumulates in another, and each target is borrowed at
+/// length `DIM`, so the rows and the gradient stay in registers. `DIM ==
+/// 0` serves every other dimension from `scratch` (`2 · dim` floats:
+/// source copy, gradient); fixed dimensions ignore it.
+///
+/// The arithmetic is the sequential-exact contract: each dot product
+/// adds in ascending coordinate order with the exact `expf` [`sigmoid`],
+/// and per coordinate the gradient reads a target before the target is
+/// written. Under dropout one `gen::<f32>()` coin per coordinate, in
+/// order, picks `row + grad` or `row` without a branch; without dropout
+/// no coin is drawn.
+#[inline(always)]
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn step<const DIM: usize, R: Rng + ?Sized>(
+    model: &mut EmbeddingModel,
+    src: RowSel,
+    tgt: RowSel,
+    negatives: &[NodeIdx],
+    lr: f32,
+    dropout: f32,
+    scratch: &mut [f32],
+    rng: &mut R,
+) {
+    let mut held_src = [0.0f32; DIM];
+    let mut held_grad = [0.0f32; DIM];
+    let (src_copy, grad): (&mut [f32], &mut [f32]) = if DIM == 0 {
+        let (src_copy, grad) = scratch.split_at_mut(model.dim());
+        grad.fill(0.0);
+        (src_copy, grad)
+    } else {
+        (&mut held_src, &mut held_grad)
+    };
+    src_copy.copy_from_slice(model.row(src.0, src.1));
+
+    let targets = std::iter::once((tgt.1, 1.0)).chain(negatives.iter().map(|&z| (z, 0.0)));
+    for (node, label) in targets {
+        let trow = fixed::<DIM>(model.row_mut(tgt.0, node));
+        let g = lr * (label - sigmoid(dot(src_copy, trow)));
+        axpy(grad, g, trow);
+        axpy(trow, g, src_copy);
     }
 
-    /// One directed step: positive pair `src → tgt` plus `negatives` in
-    /// `neg_space`, with learning rate `lr`.
-    ///
-    /// `update_source` / `update_targets` control which side's vectors are
-    /// written — online inference freezes everything except the new node
-    /// (§V-A). `dropout` zeroes each *source-gradient* coordinate with the
-    /// given probability (the paper trains E-LINE with dropout 0.1).
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn step<R: Rng + ?Sized>(
-        &mut self,
-        model: &mut EmbeddingModel,
-        src: RowSel,
-        tgt: RowSel,
-        neg_space: Space,
-        negatives: &[NodeIdx],
-        lr: f32,
-        update_source: bool,
-        update_targets: bool,
-        dropout: f32,
-        rng: &mut R,
-    ) {
-        debug_assert_eq!(model.dim(), self.dim);
-        self.src_copy.copy_from_slice(model.row(src.0, src.1));
-        self.src_grad.fill(0.0);
-
-        self.one_target(model, tgt, 1.0, lr, update_targets);
-        for &z in negatives {
-            self.one_target(model, (neg_space, z), 0.0, lr, update_targets);
+    let srow = fixed::<DIM>(model.row_mut(src.0, src.1));
+    if dropout > 0.0 {
+        for (slot, &g) in srow.iter_mut().zip(&*grad) {
+            *slot = select_unpredictable(rng.gen::<f32>() >= dropout, *slot + g, *slot);
         }
-
-        if update_source {
-            let srow = model.row_mut(src.0, src.1);
-            if dropout > 0.0 {
-                for (slot, &g) in srow.iter_mut().zip(&self.src_grad) {
-                    if rng.gen::<f32>() >= dropout {
-                        *slot += g;
-                    }
-                }
-            } else {
-                for (slot, &g) in srow.iter_mut().zip(&self.src_grad) {
-                    *slot += g;
-                }
-            }
-        }
-    }
-
-    #[inline]
-    fn one_target(
-        &mut self,
-        model: &mut EmbeddingModel,
-        tgt: RowSel,
-        label: f32,
-        lr: f32,
-        update_target: bool,
-    ) {
-        let trow = model.row_mut(tgt.0, tgt.1);
-        let g = lr * (label - sigmoid(dot(&self.src_copy, trow)));
-        // Gradient read precedes the in-place target update per coordinate
-        // in the historical loop; two sequential axpy passes preserve that
-        // order exactly (each coordinate's read happens before its write).
-        axpy(&mut self.src_grad, g, trow);
-        if update_target {
-            axpy(trow, g, &self.src_copy);
+    } else {
+        for (slot, &g) in srow.iter_mut().zip(&*grad) {
+            *slot += g;
         }
     }
 }
@@ -231,18 +225,15 @@ mod tests {
             .zip(model.context(j))
             .map(|(&a, &b)| a * b)
             .sum();
-        let mut sgd = Sgd::new(4);
         for _ in 0..200 {
-            sgd.step(
+            step::<4, _>(
                 &mut model,
                 (Space::Ego, i),
                 (Space::Context, j),
-                Space::Context,
                 &[],
                 0.1,
-                true,
-                true,
                 0.0,
+                &mut [],
                 &mut rng,
             );
         }
@@ -264,18 +255,17 @@ mod tests {
         let mut rng = ChaCha8Rng::seed_from_u64(1);
         let mut model = EmbeddingModel::init(3, 4, &mut rng);
         let (i, z) = (NodeIdx(0), NodeIdx(2));
-        let mut sgd = Sgd::new(4);
+        // The runtime-length instance, with its scratch.
+        let mut scratch = [0.0f32; 8];
         for _ in 0..200 {
-            sgd.step(
+            step::<0, _>(
                 &mut model,
                 (Space::Ego, i),
                 (Space::Context, NodeIdx(1)),
-                Space::Context,
                 &[z],
                 0.1,
-                true,
-                true,
                 0.0,
+                &mut scratch,
                 &mut rng,
             );
         }
@@ -292,63 +282,18 @@ mod tests {
     }
 
     #[test]
-    fn frozen_target_is_not_written() {
-        let mut rng = ChaCha8Rng::seed_from_u64(2);
-        let mut model = EmbeddingModel::init(2, 4, &mut rng);
-        let before: Vec<f32> = model.context(NodeIdx(1)).to_vec();
-        let mut sgd = Sgd::new(4);
-        sgd.step(
-            &mut model,
-            (Space::Ego, NodeIdx(0)),
-            (Space::Context, NodeIdx(1)),
-            Space::Context,
-            &[],
-            0.5,
-            true,
-            false, // targets frozen
-            0.0,
-            &mut rng,
-        );
-        assert_eq!(model.context(NodeIdx(1)), before.as_slice());
-    }
-
-    #[test]
-    fn frozen_source_is_not_written() {
-        let mut rng = ChaCha8Rng::seed_from_u64(3);
-        let mut model = EmbeddingModel::init(2, 4, &mut rng);
-        let before: Vec<f32> = model.ego(NodeIdx(0)).to_vec();
-        let mut sgd = Sgd::new(4);
-        sgd.step(
-            &mut model,
-            (Space::Ego, NodeIdx(0)),
-            (Space::Context, NodeIdx(1)),
-            Space::Context,
-            &[],
-            0.5,
-            false, // source frozen
-            true,
-            0.0,
-            &mut rng,
-        );
-        assert_eq!(model.ego(NodeIdx(0)), before.as_slice());
-    }
-
-    #[test]
     fn full_dropout_blocks_source_update() {
         let mut rng = ChaCha8Rng::seed_from_u64(4);
         let mut model = EmbeddingModel::init(2, 4, &mut rng);
         let before: Vec<f32> = model.ego(NodeIdx(0)).to_vec();
-        let mut sgd = Sgd::new(4);
-        sgd.step(
+        step::<4, _>(
             &mut model,
             (Space::Ego, NodeIdx(0)),
             (Space::Context, NodeIdx(1)),
-            Space::Context,
             &[],
             0.5,
-            true,
-            true,
             0.999_999, // effectively drop every coordinate
+            &mut [],
             &mut rng,
         );
         assert_eq!(model.ego(NodeIdx(0)), before.as_slice());

@@ -2,7 +2,7 @@
 
 use crate::config::{EmbedError, EmbeddingConfig, Objective};
 use crate::model::{EmbeddingModel, Space};
-use crate::sgd::Sgd;
+use crate::sgd;
 use grafics_graph::{AliasTable, BipartiteGraph, NegativeSampler, NodeIdx};
 use rand::Rng;
 
@@ -71,7 +71,9 @@ impl ElineTrainer {
     ///
     /// Always runs the *serial* trainer regardless of
     /// [`EmbeddingConfig::threads`]: the probe trace is only meaningful
-    /// over a deterministic sample order.
+    /// over a deterministic sample order. Its output bits — model, trace
+    /// and the RNG's position afterwards — are pinned by golden hashes
+    /// (`trainer/golden.rs`).
     ///
     /// # Errors
     ///
@@ -82,6 +84,23 @@ impl ElineTrainer {
         rng: &mut R,
     ) -> Result<(EmbeddingModel, TrainingStats), EmbedError> {
         self.config.validate()?;
+        match self.config.dim {
+            4 => self.train_serial::<4, R>(graph, rng),
+            8 => self.train_serial::<8, R>(graph, rng),
+            16 => self.train_serial::<16, R>(graph, rng),
+            _ => self.train_serial::<0, R>(graph, rng),
+        }
+    }
+
+    /// The serial trainer, monomorphised over the embedding dimension
+    /// like the online loop: d = 4/8/16 run [`sgd::step`] on
+    /// register-held rows, every other dimension runs the runtime-length
+    /// (`DIM == 0`) instance of the same step.
+    fn train_serial<const DIM: usize, R: Rng + ?Sized>(
+        &self,
+        graph: &BipartiteGraph,
+        rng: &mut R,
+    ) -> Result<(EmbeddingModel, TrainingStats), EmbedError> {
         let (edges, weights) = graph.edge_list();
         let edge_alias = AliasTable::new(&weights).ok_or(EmbedError::EmptyGraph)?;
         let neg_alias =
@@ -90,8 +109,10 @@ impl ElineTrainer {
 
         let cfg = &self.config;
         let mut model = EmbeddingModel::init(graph.node_capacity(), cfg.dim, rng);
-        let mut sgd = Sgd::new(cfg.dim);
         let mut negatives = Vec::with_capacity(cfg.negatives);
+        let mut scratch = vec![0.0f32; if DIM == 0 { 2 * cfg.dim } else { 0 }];
+        let terms = objective_terms(cfg.objective);
+        let dropout = cfg.dropout as f32;
 
         // Fixed probe set for the convergence trace: edges plus frozen
         // negatives, so the traced quantity is an unbiased estimate of the
@@ -126,91 +147,17 @@ impl ElineTrainer {
             let e = edges[edge_alias.sample(rng)];
             for (i, j) in [(e.record, e.mac), (e.mac, e.record)] {
                 sample_negatives(&neg_alias, i, j, cfg.negatives, &mut negatives, rng);
-                match cfg.objective {
-                    Objective::LineFirst => {
-                        sgd.step(
-                            &mut model,
-                            (Space::Ego, i),
-                            (Space::Ego, j),
-                            Space::Ego,
-                            &negatives,
-                            lr,
-                            true,
-                            true,
-                            cfg.dropout as f32,
-                            rng,
-                        );
-                    }
-                    Objective::LineSecond => {
-                        sgd.step(
-                            &mut model,
-                            (Space::Ego, i),
-                            (Space::Context, j),
-                            Space::Context,
-                            &negatives,
-                            lr,
-                            true,
-                            true,
-                            cfg.dropout as f32,
-                            rng,
-                        );
-                    }
-                    Objective::LineBoth => {
-                        // First-order term on the ego space …
-                        sgd.step(
-                            &mut model,
-                            (Space::Ego, i),
-                            (Space::Ego, j),
-                            Space::Ego,
-                            &negatives,
-                            lr,
-                            true,
-                            true,
-                            cfg.dropout as f32,
-                            rng,
-                        );
-                        // … plus the second-order term, jointly.
-                        sgd.step(
-                            &mut model,
-                            (Space::Ego, i),
-                            (Space::Context, j),
-                            Space::Context,
-                            &negatives,
-                            lr,
-                            true,
-                            true,
-                            cfg.dropout as f32,
-                            rng,
-                        );
-                    }
-                    Objective::ELine => {
-                        // Second-order term: Pr(u'_j | u_i)  (Eq. (5)).
-                        sgd.step(
-                            &mut model,
-                            (Space::Ego, i),
-                            (Space::Context, j),
-                            Space::Context,
-                            &negatives,
-                            lr,
-                            true,
-                            true,
-                            cfg.dropout as f32,
-                            rng,
-                        );
-                        // Mirrored term: Pr(u_j | u'_i)  (Eq. (8)).
-                        sgd.step(
-                            &mut model,
-                            (Space::Context, i),
-                            (Space::Ego, j),
-                            Space::Ego,
-                            &negatives,
-                            lr,
-                            true,
-                            true,
-                            cfg.dropout as f32,
-                            rng,
-                        );
-                    }
+                for &(src, tgt) in terms {
+                    sgd::step::<DIM, R>(
+                        &mut model,
+                        (src, i),
+                        (tgt, j),
+                        &negatives,
+                        lr,
+                        dropout,
+                        &mut scratch,
+                        rng,
+                    );
                 }
             }
         }
@@ -305,6 +252,22 @@ fn probe_loss(
         }
     }
     sum / probe.len() as f64
+}
+
+/// The directed terms that one sampled pair `(i, j)` trains, in order,
+/// as `(space of i's source row, space of j's target row)`; each term's
+/// negatives are rows of the target's space.
+fn objective_terms(objective: Objective) -> &'static [(Space, Space)] {
+    match objective {
+        Objective::LineFirst => &[(Space::Ego, Space::Ego)],
+        Objective::LineSecond => &[(Space::Ego, Space::Context)],
+        // The first-order term on the ego space, plus the second-order
+        // term, jointly.
+        Objective::LineBoth => &[(Space::Ego, Space::Ego), (Space::Ego, Space::Context)],
+        // The second-order term Pr(u'_j | u_i) (Eq. (5)), then its
+        // mirror Pr(u_j | u'_i) (Eq. (8)).
+        Objective::ELine => &[(Space::Ego, Space::Context), (Space::Context, Space::Ego)],
+    }
 }
 
 /// Draws `k` negative nodes, rejecting the endpoints of the positive pair.
