@@ -64,6 +64,7 @@
 //! it as [`FleetError::NoRoute`] (`None` in a batch) and absorbs reject
 //! it.
 
+use crate::pool;
 use crate::route::{RouteIndex, RouterKind};
 use crate::wal::{
     self, checkpoint_file_name, encode_header, wal_file_name, FloorBucket, StdWalFs, WalEntry,
@@ -317,8 +318,41 @@ struct ShardWal {
 }
 
 impl WriteSide {
+    fn new(
+        model: Grafics,
+        retention: RetentionPolicy,
+        absorbed: VecDeque<RecordId>,
+        by_floor: BTreeMap<FloorId, VecDeque<RecordId>>,
+        pending: usize,
+    ) -> Self {
+        WriteSide {
+            model,
+            retention,
+            absorbed,
+            by_floor,
+            pending,
+            scratch: OnlineScratch::new(),
+            wal: None,
+        }
+    }
+
     fn absorbed_resident(&self) -> usize {
         self.model.graph().record_count() - self.model.train_record_count()
+    }
+
+    /// Absorbs one record (graph extend + frozen-background embed +
+    /// sampler sync) and applies the retention policy.
+    fn absorb<R: Rng + ?Sized>(
+        &mut self,
+        record: &SignalRecord,
+        rng: &mut R,
+    ) -> Result<RecordId, GraficsError> {
+        let rid = self
+            .model
+            .absorb_record_with(record, &mut self.scratch, rng)?;
+        self.pending += 1;
+        self.retain(rid);
+        Ok(rid)
     }
 
     /// Applies the retention policy after `rid` was absorbed. Every
@@ -351,57 +385,82 @@ impl WriteSide {
             }
         }
     }
+
+    /// The encode half of a checkpoint: the JSON of `checkpoint-<id>.json`
+    /// holding `model`, the retention queues and the WAL cursors
+    /// (`next_seq` becomes the watermark). `model` is the model to
+    /// persist: the publish path hands the snapshot clone it just made,
+    /// recovery hands `self.model` after replay.
+    fn encode_checkpoint(
+        &self,
+        id: BuildingId,
+        next_seq: u64,
+        next_rng: u64,
+        model: &Grafics,
+    ) -> Result<String, String> {
+        let absorbed: Vec<RecordId> = self.absorbed.iter().copied().collect();
+        let by_floor: Vec<FloorBucket> = self
+            .by_floor
+            .iter()
+            .map(|(floor, queue)| FloorBucket {
+                floor: *floor,
+                records: queue.iter().copied().collect(),
+            })
+            .collect();
+        wal::encode_checkpoint(
+            id.0,
+            next_seq,
+            next_rng,
+            self.pending,
+            &absorbed,
+            &by_floor,
+            model,
+        )
+    }
 }
 
-/// Writes one checkpoint for `w`: flush+fsync the WAL, atomically
-/// replace `checkpoint-<id>.json` (model + watermark + retention queues
-/// in **one** file, so they can never disagree after a crash), then
-/// truncate the WAL and rewrite its header. Ordering matters: the
-/// checkpoint is durable before the truncation, and a crash between the
-/// two merely leaves sub-watermark entries that replay skips.
-///
-/// `model` is the model to persist (the publish path hands the snapshot
-/// clone it just made; recovery hands `w.model` itself).
-fn checkpoint_write_side(id: BuildingId, w: &WriteSide, model: &Grafics) -> Result<(), String> {
-    let Some(shard_wal) = &w.wal else {
-        return Ok(());
-    };
-    shard_wal.writer.flush_sync()?;
-    let absorbed: Vec<RecordId> = w.absorbed.iter().copied().collect();
-    let by_floor: Vec<FloorBucket> = w
-        .by_floor
-        .iter()
-        .map(|(floor, queue)| FloorBucket {
-            floor: *floor,
-            records: queue.iter().copied().collect(),
+impl ShardWal {
+    /// Opens the shard's WAL writer under `dir` (writing the header if
+    /// the log is absent or empty), resuming at the given cursors.
+    fn open(
+        fs: Arc<dyn WalFs>,
+        dir: &Path,
+        id: BuildingId,
+        policy: DurabilityPolicy,
+        next_seq: u64,
+        next_rng: u64,
+    ) -> std::io::Result<Self> {
+        Ok(ShardWal {
+            writer: WalWriter::open(Arc::clone(&fs), dir, id.0, policy)?,
+            fs,
+            dir: dir.to_path_buf(),
+            next_seq,
+            next_rng,
         })
-        .collect();
-    let doc = wal::encode_checkpoint(
-        id.0,
-        shard_wal.next_seq,
-        shard_wal.next_rng,
-        w.pending,
-        &absorbed,
-        &by_floor,
-        model,
-    )?;
-    let as_io = |e: std::io::Error| e.to_string();
-    shard_wal
-        .fs
-        .write_atomic(
-            &shard_wal.dir.join(checkpoint_file_name(id.0)),
-            doc.as_bytes(),
-        )
-        .map_err(as_io)?;
-    let wal_path = shard_wal.dir.join(wal_file_name(id.0));
-    shard_wal.fs.truncate(&wal_path).map_err(as_io)?;
-    let header = encode_header(id.0);
-    shard_wal
-        .fs
-        .append(&wal_path, header.as_bytes())
-        .map_err(as_io)?;
-    shard_wal.writer.reset_tail(header.len() as u64);
-    Ok(())
+    }
+
+    /// The persist half of a checkpoint: flush+fsync the WAL, atomically
+    /// replace `checkpoint-<id>.json` with `doc` (model + watermark +
+    /// retention queues in **one** file, so they can never disagree after
+    /// a crash), then truncate the WAL and rewrite its header. Ordering
+    /// matters: the checkpoint is durable before the truncation, and a
+    /// crash between the two merely leaves sub-watermark entries that
+    /// replay skips.
+    fn persist_checkpoint(&self, id: BuildingId, doc: &str) -> Result<(), String> {
+        self.writer.flush_sync()?;
+        let as_io = |e: std::io::Error| e.to_string();
+        self.fs
+            .write_atomic(&self.dir.join(checkpoint_file_name(id.0)), doc.as_bytes())
+            .map_err(as_io)?;
+        let wal_path = self.dir.join(wal_file_name(id.0));
+        self.fs.truncate(&wal_path).map_err(as_io)?;
+        let header = encode_header(id.0);
+        self.fs
+            .append(&wal_path, header.as_bytes())
+            .map_err(as_io)?;
+        self.writer.reset_tail(header.len() as u64);
+        Ok(())
+    }
 }
 
 /// Default sliding-window length for the margin gauges: what `/metrics`
@@ -568,48 +627,21 @@ impl Shard {
     /// copy of `model`; the write side absorbs under `retention`.
     #[must_use]
     pub fn new(id: BuildingId, model: Grafics, retention: RetentionPolicy) -> Self {
-        Shard {
-            id,
-            snapshot: RwLock::new(Arc::new(model.clone())),
-            epoch: AtomicU64::new(0),
-            write: Mutex::new(WriteSide {
-                model,
-                retention,
-                absorbed: VecDeque::new(),
-                by_floor: BTreeMap::new(),
-                pending: 0,
-                scratch: OnlineScratch::new(),
-                wal: None,
-            }),
-            margins: Mutex::new(MarginWindow::default()),
-        }
+        let snapshot = Arc::new(model.clone());
+        let write = WriteSide::new(model, retention, VecDeque::new(), BTreeMap::new(), 0);
+        Shard::from_parts(id, snapshot, write)
     }
 
-    /// Rebuilds a shard from recovered state: the snapshot starts as a
-    /// copy of `model` (the recovered write side), and the retention
-    /// queues are restored exactly so post-recovery evictions happen in
-    /// the same order as on the never-crashed shard.
-    pub(crate) fn restore(
-        id: BuildingId,
-        model: Grafics,
-        retention: RetentionPolicy,
-        absorbed: VecDeque<RecordId>,
-        by_floor: BTreeMap<FloorId, VecDeque<RecordId>>,
-        pending: usize,
-    ) -> Self {
+    /// A shard at epoch 0 publishing `snapshot` over the write side
+    /// `write` (recovery restores both, retention queues included, so
+    /// post-recovery evictions happen in the same order as on the
+    /// never-crashed shard).
+    fn from_parts(id: BuildingId, snapshot: Arc<Grafics>, write: WriteSide) -> Self {
         Shard {
             id,
-            snapshot: RwLock::new(Arc::new(model.clone())),
+            snapshot: RwLock::new(snapshot),
             epoch: AtomicU64::new(0),
-            write: Mutex::new(WriteSide {
-                model,
-                retention,
-                absorbed,
-                by_floor,
-                pending,
-                scratch: OnlineScratch::new(),
-                wal: None,
-            }),
+            write: Mutex::new(write),
             margins: Mutex::new(MarginWindow::default()),
         }
     }
@@ -667,12 +699,7 @@ impl Shard {
         record: &SignalRecord,
         rng: &mut R,
     ) -> Result<RecordId, GraficsError> {
-        let mut guard = self.write.lock();
-        let w = &mut *guard;
-        let rid = w.model.absorb_record_with(record, &mut w.scratch, rng)?;
-        w.pending += 1;
-        w.retain(rid);
-        Ok(rid)
+        self.write.lock().absorb(record, rng)
     }
 
     /// Absorbs one record on the deterministic stream
@@ -705,12 +732,7 @@ impl Shard {
             }
         }
         let mut rng = record_rng(seed, usize::try_from(rng_index).unwrap_or(usize::MAX));
-        let rid = w
-            .model
-            .absorb_record_with(record, &mut w.scratch, &mut rng)
-            .map_err(FleetError::Model)?;
-        w.pending += 1;
-        w.retain(rid);
+        let rid = w.absorb(record, &mut rng).map_err(FleetError::Model)?;
         if let Some(shard_wal) = &mut w.wal {
             let entry = WalEntry {
                 seq: shard_wal.next_seq,
@@ -726,27 +748,6 @@ impl Shard {
                 .map_err(FleetError::Durability)?;
         }
         Ok(rid)
-    }
-
-    /// Attaches a WAL writer to this shard (crate-internal: reached via
-    /// [`GraficsFleet::recover`], which knows the right cursors).
-    pub(crate) fn attach_wal(
-        &self,
-        fs: Arc<dyn WalFs>,
-        dir: &Path,
-        policy: DurabilityPolicy,
-        next_seq: u64,
-        next_rng: u64,
-    ) -> std::io::Result<()> {
-        let writer = WalWriter::open(Arc::clone(&fs), dir, self.id.0, policy)?;
-        self.write.lock().wal = Some(ShardWal {
-            writer,
-            fs,
-            dir: dir.to_path_buf(),
-            next_seq,
-            next_rng,
-        });
-        Ok(())
     }
 
     /// `true` if a WAL is attached.
@@ -792,13 +793,6 @@ impl Shard {
         Ok(())
     }
 
-    /// Checkpoints the current write side immediately (without
-    /// publishing): used by recovery to compact a replayed log.
-    pub(crate) fn checkpoint_now(&self) -> Result<(), String> {
-        let guard = self.write.lock();
-        checkpoint_write_side(self.id, &guard, &guard.model)
-    }
-
     /// Publishes the write side: clones it into a fresh snapshot (on this
     /// thread — the serve path never pays for it) and swaps the snapshot
     /// pointer in O(1). Returns the new epoch. In-flight readers finish
@@ -813,11 +807,12 @@ impl Shard {
         let mut guard = self.write.lock();
         let next = Arc::new(guard.model.clone());
         guard.pending = 0;
-        if guard.wal.is_some() {
-            if let Err(e) = checkpoint_write_side(self.id, &guard, &next) {
-                if let Some(shard_wal) = &guard.wal {
-                    shard_wal.writer.poison(&e);
-                }
+        if let Some(shard_wal) = &guard.wal {
+            let checkpoint = guard
+                .encode_checkpoint(self.id, shard_wal.next_seq, shard_wal.next_rng, &next)
+                .and_then(|doc| shard_wal.persist_checkpoint(self.id, &doc));
+            if let Err(e) = checkpoint {
+                shard_wal.writer.poison(&e);
             }
         }
         // Swap and bump the epoch while still holding the write mutex so
@@ -1727,18 +1722,41 @@ impl GraficsFleet {
     /// [`RecoveryReport::next_rng_index`] so RNG streams are never
     /// reused.
     ///
+    /// # Threads
+    ///
+    /// Shards recover in parallel on the loader pool:
+    /// `available_parallelism` threads named `grafics-load-<k>`, started
+    /// by the first recovery in the process and reused by every later
+    /// one, never joined. A pool job only reads files: it decodes one
+    /// shard's checkpoint (or legacy model), replays its WAL tail and
+    /// encodes its compaction checkpoint. This thread takes the results
+    /// in ascending id order; for each shard it copies the models into
+    /// its own allocations, then re-attaches the WAL and persists the
+    /// checkpoint. Every [`WalFs`] call therefore happens on this thread,
+    /// in the same order as a one-shard-at-a-time recovery would issue
+    /// them. A panic in a job is resumed on this thread.
+    ///
     /// # Errors
     ///
     /// IO errors; `InvalidData` for a corrupt checkpoint, a WAL with a
     /// sequence gap, or a replay failure that cannot have happened
-    /// pre-crash.
+    /// pre-crash. With several bad shards, the error of the lowest id is
+    /// returned: the shards below it were recovered (and, with
+    /// durability on, compacted), and no file of that shard or of any
+    /// shard above it was written.
     pub fn recover<P: AsRef<Path>>(dir: P) -> std::io::Result<(Self, RecoveryReport)> {
         GraficsFleet::recover_with(Arc::new(StdWalFs), dir)
     }
 
     /// [`GraficsFleet::recover`] with an injectable [`WalFs`] for the
     /// re-attached writers (fault-injection tests crash recovery's own
-    /// compaction through this).
+    /// compaction through this). Only this thread calls `fs`, in
+    /// ascending shard id order.
+    ///
+    /// # Errors
+    ///
+    /// As [`GraficsFleet::recover`]; a failing `fs` call during a
+    /// shard's compaction fails recovery at that shard.
     pub fn recover_with<P: AsRef<Path>>(
         fs: Arc<dyn WalFs>,
         dir: P,
@@ -1771,101 +1789,41 @@ impl GraficsFleet {
             ));
         }
 
-        for id in ids {
-            let building = BuildingId(id);
-            let (shard, watermark, mut next_rng, from_checkpoint) =
-                match wal::read_checkpoint(dir, id)? {
-                    Some(doc) => {
-                        let by_floor: BTreeMap<FloorId, VecDeque<RecordId>> = doc
-                            .by_floor
-                            .into_iter()
-                            .map(|b| (b.floor, VecDeque::from(b.records)))
-                            .collect();
-                        let shard = Shard::restore(
-                            building,
-                            doc.model,
-                            manifest.retention,
-                            VecDeque::from(doc.absorbed),
-                            by_floor,
-                            doc.pending,
-                        );
-                        (shard, doc.watermark, doc.next_rng, true)
-                    }
-                    None => {
-                        let model = Grafics::load_json(dir.join(format!("shard-{id}.json")))?;
-                        let shard = Shard::restore(
-                            building,
-                            model,
-                            manifest.retention,
-                            VecDeque::new(),
-                            BTreeMap::new(),
-                            0,
-                        );
-                        (shard, 0, 0, false)
-                    }
-                };
-
-            let parsed = wal::read_wal(dir, id);
-            let mut expected = watermark;
-            let mut replayed = 0u64;
-            let mut skipped = 0u64;
-            for entry in &parsed.entries {
-                if entry.seq < expected {
-                    // The post-checkpoint truncation never ran; these
-                    // entries are already inside the checkpoint model.
-                    skipped += 1;
-                    continue;
+        // Each shard's reads, replay and checkpoint encode run as one job
+        // on the loader pool. The results come back here in id order,
+        // and every `WalFs` call happens on this thread in that order, as
+        // a one-shard-at-a-time recovery issues them.
+        let shared_dir: Arc<Path> = Arc::from(dir);
+        let retention = manifest.retention;
+        let compact = !manifest.durability.is_off();
+        // The lowest shard index known to have failed: recovery returns
+        // its error (or a lower one's), so jobs above it skip their work.
+        let failed = Arc::new(AtomicUsize::new(usize::MAX));
+        let jobs = ids.into_iter().enumerate().map(|(i, id)| {
+            let (dir, failed) = (Arc::clone(&shared_dir), Arc::clone(&failed));
+            move || {
+                if i > failed.load(Ordering::Relaxed) {
+                    return Err(std::io::Error::other("skipped: a lower shard failed"));
                 }
-                if entry.seq > expected {
-                    return Err(std::io::Error::new(
-                        std::io::ErrorKind::InvalidData,
-                        format!(
-                            "wal-{id}.jsonl: sequence gap (entry {}, expected {expected})",
-                            entry.seq
-                        ),
-                    ));
+                let recovered = recover_shard(&dir, id, retention, compact);
+                if recovered.is_err() {
+                    failed.fetch_min(i, Ordering::Relaxed);
                 }
-                let mut rng =
-                    record_rng(entry.seed, usize::try_from(entry.rng).unwrap_or(usize::MAX));
-                shard.absorb(&entry.record, &mut rng).map_err(|e| {
-                    std::io::Error::new(
-                        std::io::ErrorKind::InvalidData,
-                        format!("wal-{id}.jsonl: replaying entry {}: {e}", entry.seq),
-                    )
-                })?;
-                expected += 1;
-                replayed += 1;
-                next_rng = next_rng.max(entry.rng + 1);
+                recovered
             }
-
-            if !manifest.durability.is_off() {
-                shard.attach_wal(
-                    Arc::clone(&fs),
-                    dir,
-                    manifest.durability,
-                    expected,
-                    next_rng,
-                )?;
-                // Compact immediately: the checkpoint absorbs the replay
-                // and the truncation clears torn bytes and stale
-                // entries, leaving a clean appendable log.
-                shard
-                    .checkpoint_now()
-                    .map_err(|e| std::io::Error::other(format!("shard {id}: compaction: {e}")))?;
-            }
-
+        });
+        let adopted = pool::run_ordered(jobs).try_for_each(|recovered| {
+            let (shard, shard_report, next_rng) =
+                recovered?.adopt(&fs, dir, manifest.durability)?;
             report.next_rng_index = report.next_rng_index.max(next_rng);
-            report.shards.push(ShardRecovery {
-                building,
-                from_checkpoint,
-                watermark,
-                replayed,
-                skipped,
-                torn: parsed.torn,
-            });
-            fleet.push_shard(Arc::new(shard))?;
+            report.shards.push(shard_report);
+            fleet.push_shard(Arc::new(shard))
+        });
+        if adopted.is_err() {
+            // Every job not yet started lies above the failed shard.
+            failed.store(0, Ordering::Relaxed);
         }
-        Ok((fleet, report))
+        adopted.map(|()| (fleet, report))
     }
 
     /// Inserts an already-built shard, keeping the id ordering invariant.
@@ -1923,13 +1881,158 @@ fn load_models(shards: &[(u32, PathBuf)]) -> Vec<std::io::Result<Grafics>> {
 
 /// A deep copy of `model` allocated on the calling thread, the worker's
 /// copy dropped. With a per-thread-arena allocator (glibc), memory a
-/// short-lived worker allocates stays in that worker's arena; the next
-/// load's workers may draw other arenas, so repeated loads in one
-/// process (a second server's cold start next to a running one) would
-/// spread fleets over arenas that are never trimmed, and peak RSS would
-/// grow with each load.
+/// worker allocates stays in that worker's arena. `load_dir`'s scoped
+/// workers are short-lived, and the next load's workers may draw other
+/// arenas, so repeated loads in one process (a second server's cold
+/// start next to a running one) would spread fleets over arenas that are
+/// never trimmed, and peak RSS would grow with each load. The loader
+/// pool's threads persist, but a fleet kept in their arenas would pin
+/// them for the fleet's lifetime; rehomed, the pool's arenas hold only
+/// what its jobs drop, which the next recovery reuses.
 fn rehome(model: Grafics) -> Grafics {
     model.clone()
+}
+
+/// One shard's recovery up to its file writes: what a loader-pool job
+/// hands back to [`GraficsFleet::recover_with`]'s calling thread.
+struct RecoveredShard {
+    /// The model the shard publishes at epoch 0: the checkpoint (or
+    /// legacy) model as read, before replay.
+    snapshot: Grafics,
+    /// The write side after replay, no WAL attached.
+    write: WriteSide,
+    report: ShardRecovery,
+    /// The cursors the reattached WAL resumes at.
+    next_seq: u64,
+    next_rng: u64,
+    /// The compaction checkpoint of `write`; `None` when durability is
+    /// off.
+    checkpoint: Option<Result<String, String>>,
+}
+
+/// The read-only part of recovering shard `id` from `dir`, run on the
+/// loader pool: read the checkpoint (falling back to the legacy
+/// `shard-<id>.json` model), replay the WAL tail on the deterministic
+/// per-entry RNG streams (skipping entries below the watermark, dropping
+/// a torn final line), and, if `compact`, encode the compaction
+/// checkpoint. It only reads files.
+fn recover_shard(
+    dir: &Path,
+    id: u32,
+    retention: RetentionPolicy,
+    compact: bool,
+) -> std::io::Result<RecoveredShard> {
+    let building = BuildingId(id);
+    let (mut write, watermark, mut next_rng, from_checkpoint) = match wal::read_checkpoint(dir, id)?
+    {
+        Some(doc) => {
+            let by_floor = doc
+                .by_floor
+                .into_iter()
+                .map(|b| (b.floor, VecDeque::from(b.records)))
+                .collect();
+            let absorbed = VecDeque::from(doc.absorbed);
+            let write = WriteSide::new(doc.model, retention, absorbed, by_floor, doc.pending);
+            (write, doc.watermark, doc.next_rng, true)
+        }
+        None => {
+            let model = Grafics::load_json(dir.join(format!("shard-{id}.json")))?;
+            let write = WriteSide::new(model, retention, VecDeque::new(), BTreeMap::new(), 0);
+            (write, 0, 0, false)
+        }
+    };
+    let snapshot = write.model.clone();
+
+    let parsed = wal::read_wal(dir, id);
+    let mut expected = watermark;
+    let mut replayed = 0u64;
+    let mut skipped = 0u64;
+    for entry in &parsed.entries {
+        if entry.seq < expected {
+            // The post-checkpoint truncation never ran; these entries are
+            // already inside the checkpoint model.
+            skipped += 1;
+            continue;
+        }
+        if entry.seq > expected {
+            return Err(std::io::Error::new(
+                std::io::ErrorKind::InvalidData,
+                format!(
+                    "wal-{id}.jsonl: sequence gap (entry {}, expected {expected})",
+                    entry.seq
+                ),
+            ));
+        }
+        let mut rng = record_rng(entry.seed, usize::try_from(entry.rng).unwrap_or(usize::MAX));
+        write.absorb(&entry.record, &mut rng).map_err(|e| {
+            std::io::Error::new(
+                std::io::ErrorKind::InvalidData,
+                format!("wal-{id}.jsonl: replaying entry {}: {e}", entry.seq),
+            )
+        })?;
+        expected += 1;
+        replayed += 1;
+        next_rng = next_rng.max(entry.rng + 1);
+    }
+
+    let checkpoint =
+        compact.then(|| write.encode_checkpoint(building, expected, next_rng, &write.model));
+    Ok(RecoveredShard {
+        snapshot,
+        write,
+        report: ShardRecovery {
+            building,
+            from_checkpoint,
+            watermark,
+            replayed,
+            skipped,
+            torn: parsed.torn,
+        },
+        next_seq: expected,
+        next_rng,
+        checkpoint,
+    })
+}
+
+impl RecoveredShard {
+    /// The calling thread's part: rehome the models and retention
+    /// queues, then, if a checkpoint was encoded, reattach the WAL under
+    /// `policy` and persist the checkpoint. Returns the shard, its report
+    /// line and its next RNG index.
+    fn adopt(
+        self,
+        fs: &Arc<dyn WalFs>,
+        dir: &Path,
+        policy: DurabilityPolicy,
+    ) -> std::io::Result<(Shard, ShardRecovery, u64)> {
+        let RecoveredShard {
+            snapshot,
+            write,
+            report,
+            next_seq,
+            next_rng,
+            checkpoint,
+        } = self;
+        let id = report.building;
+        let snapshot = Arc::new(rehome(snapshot));
+        let mut write = WriteSide::new(
+            rehome(write.model),
+            write.retention,
+            write.absorbed.clone(),
+            write.by_floor.clone(),
+            write.pending,
+        );
+        if let Some(doc) = checkpoint {
+            let shard_wal = ShardWal::open(Arc::clone(fs), dir, id, policy, next_seq, next_rng)?;
+            // Compact immediately: the checkpoint absorbs the replay and
+            // the truncation clears torn bytes and stale entries, leaving
+            // a clean appendable log.
+            doc.and_then(|doc| shard_wal.persist_checkpoint(id, &doc))
+                .map_err(|e| std::io::Error::other(format!("shard {}: compaction: {e}", id.0)))?;
+            write.wal = Some(shard_wal);
+        }
+        Ok((Shard::from_parts(id, snapshot, write), report, next_rng))
+    }
 }
 
 /// Reads `fleet.json`, falling back to the version-1 shape (no

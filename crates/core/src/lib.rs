@@ -50,6 +50,7 @@ use serde::{Deserialize, Serialize};
 use std::fmt;
 
 mod fleet;
+mod pool;
 mod route;
 mod server;
 pub mod wal;

@@ -9,10 +9,10 @@
 //! map cannot produce false negatives), and the incrementally-synced
 //! `NegativeSampler` weights against a from-scratch rebuild.
 
-use grafics_core::wal::ALL_CRASH_POINTS;
+use grafics_core::wal::{encode_header, ALL_CRASH_POINTS};
 use grafics_core::{
     record_rng, CrashPoint, DurabilityPolicy, FailpointFs, Grafics, GraficsConfig, GraficsFleet,
-    WalFs,
+    ShardRecovery, WalFs,
 };
 use grafics_data::BuildingModel;
 use grafics_types::{BuildingId, SignalRecord};
@@ -68,11 +68,22 @@ fn durable_dir(name: &str, policy: DurabilityPolicy) -> PathBuf {
 /// sorting every object's keys recursively makes equality exact without
 /// being order-sensitive.
 fn write_value(fleet: &GraficsFleet) -> JsonValue {
-    fleet.shard(B0).unwrap().with_write_model(|m| {
-        let mut v = serde_json::value_of(m);
-        canonicalize(&mut v);
-        v
-    })
+    shard_value(fleet, B0)
+}
+
+/// [`write_value`] for any shard.
+fn shard_value(fleet: &GraficsFleet, id: BuildingId) -> JsonValue {
+    fleet
+        .shard(id)
+        .unwrap()
+        .with_write_model(|m| model_value(m))
+}
+
+/// A model as a canonical JSON value.
+fn model_value(model: &Grafics) -> JsonValue {
+    let mut v = serde_json::value_of(model);
+    canonicalize(&mut v);
+    v
 }
 
 fn canonicalize(v: &mut JsonValue) {
@@ -108,7 +119,12 @@ fn sequential_prefix(k: u64) -> Vec<(usize, u64)> {
 /// The write-side sampler must equal a from-scratch rebuild — absorb
 /// replay kept the incremental weight sync exact.
 fn assert_sampler_parity(fleet: &GraficsFleet) {
-    let (live, rebuilt) = fleet.shard(B0).unwrap().with_write_model(|m| {
+    assert_shard_sampler_parity(fleet, B0);
+}
+
+/// [`assert_sampler_parity`] for any shard.
+fn assert_shard_sampler_parity(fleet: &GraficsFleet, id: BuildingId) {
+    let (live, rebuilt) = fleet.shard(id).unwrap().with_write_model(|m| {
         let rebuilt =
             grafics_graph::NegativeSampler::from_graph(m.graph(), m.negative_sampler().exponent());
         (
@@ -116,7 +132,10 @@ fn assert_sampler_parity(fleet: &GraficsFleet) {
             rebuilt.weights().to_vec(),
         )
     });
-    assert_eq!(live, rebuilt, "recovered sampler diverged from rebuild");
+    assert_eq!(
+        live, rebuilt,
+        "{id:?}: recovered sampler diverged from rebuild"
+    );
 }
 
 /// Graceful restart: recover → absorb → drop (drain-on-drop) → recover
@@ -452,5 +471,321 @@ proptest! {
         assert_sampler_parity(&back);
         drop(back);
         let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Multi-shard recovery
+// ---------------------------------------------------------------------------
+
+/// Shards of the multi-shard directory: ids `0..SHARDS`.
+const SHARDS: u32 = 6;
+/// Absorbs journalled across the shards, one per shard per row of six.
+const ABSORBS: u64 = 36;
+/// Shards published halfway whose WAL truncation "never ran": their
+/// tails start with entries below the checkpoint watermark.
+const STALE: [u32; 2] = [1, 4];
+/// Shards whose WAL ends in half a line (the last absorb is lost).
+const TORN: [u32; 2] = [0, 4];
+/// The shard with no checkpoint: it recovers from `shard-<id>.json`.
+const LEGACY: u32 = 3;
+
+/// The shard absorb `t` goes to: each row of six absorbs visits every
+/// shard once, in an order that rotates from row to row.
+fn interleaved_shard(t: u64) -> u32 {
+    u32::try_from((t + t / 6) % u64::from(SHARDS)).unwrap()
+}
+
+/// A crafted six-shard durable directory and what recovering it must
+/// give.
+struct MultiShard {
+    dir: PathBuf,
+    /// Per shard: the never-crashed write side, canonicalized.
+    oracle: Vec<JsonValue>,
+    /// Per shard: the model it publishes after recovery (its checkpoint
+    /// or legacy model, before replay), canonicalized.
+    snapshot: Vec<JsonValue>,
+    /// The report recovery must produce.
+    report: Vec<ShardRecovery>,
+    next_rng_index: u64,
+}
+
+fn wal_path(dir: &Path, id: u32) -> PathBuf {
+    dir.join(format!("wal-{id}.jsonl"))
+}
+
+/// Builds the multi-shard directory once: six copies of the fixture
+/// model absorb an interleaved stream through a durable fleet; the STALE
+/// shards publish halfway; then the files are edited into the shapes a
+/// crash leaves behind.
+fn multi_shard() -> &'static MultiShard {
+    static DIR: OnceLock<MultiShard> = OnceLock::new();
+    DIR.get_or_init(|| {
+        let dir = std::env::temp_dir().join(format!("grafics-wal-it-multi-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let (model, records) = fixture();
+        let mut fleet = GraficsFleet::new();
+        for id in 0..SHARDS {
+            fleet.add_shard(BuildingId(id), model.clone()).unwrap();
+        }
+        fleet.set_durability(DurabilityPolicy::FsyncEveryN(1));
+        fleet.save_dir(&dir).unwrap();
+        drop(fleet);
+
+        // Per shard: (record index, rng index) of every absorb that
+        // survives, in order.
+        let mut log: Vec<Vec<(usize, u64)>> = vec![Vec::new(); SHARDS as usize];
+        let (fleet, _) = GraficsFleet::recover(&dir).unwrap();
+        let mut absorb = |fleet: &GraficsFleet, t: u64| {
+            let id = interleaved_shard(t);
+            let idx = usize::try_from(t).unwrap() % records.len();
+            fleet
+                .absorb_to_durable(BuildingId(id), &records[idx], SEED, t)
+                .unwrap();
+            log[id as usize].push((idx, t));
+        };
+        for t in 0..ABSORBS / 2 {
+            absorb(&fleet, t);
+        }
+        fleet.drain_wal().unwrap();
+        let stale: Vec<Vec<u8>> = STALE
+            .iter()
+            .map(|&id| std::fs::read(wal_path(&dir, id)).unwrap())
+            .collect();
+        for id in STALE {
+            fleet.shard(BuildingId(id)).unwrap().publish();
+        }
+        for t in ABSORBS / 2..ABSORBS {
+            absorb(&fleet, t);
+        }
+        drop(fleet); // drains every WAL
+
+        // The truncations after the STALE publishes never ran: the old
+        // entries stay in front of the ones appended after the publish.
+        for (&id, old) in STALE.iter().zip(&stale) {
+            let now = std::fs::read(wal_path(&dir, id)).unwrap();
+            let header_end = now.iter().position(|&b| b == b'\n').unwrap() + 1;
+            std::fs::write(wal_path(&dir, id), [&old[..], &now[header_end..]].concat()).unwrap();
+        }
+        for id in TORN {
+            let wal = std::fs::read(wal_path(&dir, id)).unwrap();
+            let last = wal[..wal.len() - 1]
+                .iter()
+                .rposition(|&b| b == b'\n')
+                .unwrap()
+                + 1;
+            std::fs::write(wal_path(&dir, id), &wal[..last + (wal.len() - last) / 2]).unwrap();
+            log[id as usize].pop();
+        }
+        std::fs::remove_file(dir.join(format!("checkpoint-{LEGACY}.json"))).unwrap();
+
+        let published = ABSORBS / 2 / u64::from(SHARDS);
+        let report: Vec<ShardRecovery> = (0..SHARDS)
+            .map(|id| {
+                let watermark = if STALE.contains(&id) { published } else { 0 };
+                ShardRecovery {
+                    building: BuildingId(id),
+                    from_checkpoint: id != LEGACY,
+                    watermark,
+                    replayed: log[id as usize].len() as u64 - watermark,
+                    skipped: watermark,
+                    torn: TORN.contains(&id),
+                }
+            })
+            .collect();
+        let never_crashed = |id: u32, absorbs: &[(usize, u64)]| {
+            let mut fleet = GraficsFleet::new();
+            fleet.add_shard(BuildingId(id), model.clone()).unwrap();
+            for &(idx, rng_i) in absorbs {
+                let mut rng = record_rng(SEED, usize::try_from(rng_i).unwrap());
+                fleet
+                    .absorb_to(BuildingId(id), &records[idx], &mut rng)
+                    .unwrap();
+            }
+            shard_value(&fleet, BuildingId(id))
+        };
+        MultiShard {
+            oracle: (0..SHARDS)
+                .map(|id| never_crashed(id, &log[id as usize]))
+                .collect(),
+            snapshot: report
+                .iter()
+                .map(|s| {
+                    let id = s.building.0;
+                    never_crashed(id, &log[id as usize][..s.watermark as usize])
+                })
+                .collect(),
+            next_rng_index: log.iter().flatten().map(|&(_, t)| t + 1).max().unwrap(),
+            report,
+            dir,
+        }
+    })
+}
+
+/// A fresh copy of the multi-shard directory.
+fn multi_shard_copy(name: &str) -> PathBuf {
+    let to = std::env::temp_dir().join(format!("grafics-wal-it-{name}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&to);
+    std::fs::create_dir_all(&to).unwrap();
+    for entry in std::fs::read_dir(&multi_shard().dir).unwrap() {
+        let entry = entry.unwrap();
+        std::fs::copy(entry.path(), to.join(entry.file_name())).unwrap();
+    }
+    to
+}
+
+/// Every file of `dir` that belongs to a shard with id `>= from`, with
+/// its bytes (names ending in `-<id>.json`, `-<id>.jsonl` or a `.tmp`
+/// of either).
+fn shard_files(dir: &Path, from: u32) -> Vec<(String, Vec<u8>)> {
+    let mut files: Vec<(String, Vec<u8>)> = std::fs::read_dir(dir)
+        .unwrap()
+        .map(|e| e.unwrap().file_name().into_string().unwrap())
+        .filter(|name| {
+            let stem = name.trim_end_matches(".tmp");
+            let stem = stem
+                .strip_suffix(".jsonl")
+                .or_else(|| stem.strip_suffix(".json"))
+                .unwrap_or(stem);
+            stem.rsplit('-')
+                .next()
+                .and_then(|id| id.parse::<u32>().ok())
+                .is_some_and(|id| id >= from)
+        })
+        .map(|name| {
+            let bytes = std::fs::read(dir.join(&name)).unwrap();
+            (name, bytes)
+        })
+        .collect();
+    files.sort();
+    files
+}
+
+/// Every shard of a recovered multi-shard fleet equals the never-crashed
+/// fleet's write side.
+fn assert_matches_oracle(fleet: &GraficsFleet, context: &str) {
+    let expect = multi_shard();
+    assert_eq!(fleet.len(), SHARDS as usize, "{context}");
+    for id in 0..SHARDS {
+        assert_eq!(
+            shard_value(fleet, BuildingId(id)),
+            expect.oracle[id as usize],
+            "{context}: shard {id} diverged from the never-crashed fleet"
+        );
+    }
+}
+
+/// Six shards recovered in parallel land exactly where a never-crashed
+/// fleet stands, shard by shard: torn tails, stale sub-watermark entries
+/// and a legacy shard included, with the report in id order.
+#[test]
+fn multi_shard_recovery_matches_the_never_crashed_fleet() {
+    let expect = multi_shard();
+    let dir = multi_shard_copy("multi-oracle");
+    let (fleet, report) = GraficsFleet::recover(&dir).unwrap();
+    assert_eq!(report.shards, expect.report);
+    assert_eq!(report.next_rng_index, expect.next_rng_index);
+    assert!(report.any_torn());
+    assert_matches_oracle(&fleet, "recovery");
+    for id in 0..SHARDS {
+        assert_shard_sampler_parity(&fleet, BuildingId(id));
+        let shard = fleet.shard(BuildingId(id)).unwrap();
+        assert_eq!(
+            model_value(&shard.snapshot()),
+            expect.snapshot[id as usize],
+            "shard {id}: the published snapshot is not the pre-replay model"
+        );
+    }
+    assert!(fleet.wal_attached());
+    drop(fleet);
+
+    // Compaction folded every tail into a checkpoint.
+    let (again, report) = GraficsFleet::recover(&dir).unwrap();
+    assert_eq!(report.total_replayed(), 0);
+    assert_eq!(report.next_rng_index, expect.next_rng_index);
+    assert_matches_oracle(&again, "second recovery");
+    drop(again);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// With a sequence gap in shard 2 and a corrupt checkpoint in shard 5,
+/// recovery reports shard 2, however the shards' jobs finish, and writes
+/// nothing for shard 2 or any shard above it.
+#[test]
+fn lowest_failing_shard_is_reported_and_later_shards_are_untouched() {
+    for repeat in 0..5 {
+        let dir = multi_shard_copy(&format!("multi-errors-{repeat}"));
+        let wal = std::fs::read_to_string(wal_path(&dir, 2)).unwrap();
+        let mut lines: Vec<&str> = wal.split_inclusive('\n').collect();
+        lines.remove(3); // header, seq 0, seq 1, [seq 2], ...
+        std::fs::write(wal_path(&dir, 2), lines.concat()).unwrap();
+        let checkpoint = dir.join("checkpoint-5.json");
+        let bytes = std::fs::read(&checkpoint).unwrap();
+        std::fs::write(&checkpoint, &bytes[..bytes.len() / 2]).unwrap();
+        let before = shard_files(&dir, 2);
+
+        let err = GraficsFleet::recover(&dir).unwrap_err().to_string();
+        assert!(
+            err.contains("wal-2.jsonl: sequence gap"),
+            "repeat {repeat}: {err}"
+        );
+        assert!(
+            shard_files(&dir, 2) == before,
+            "repeat {repeat}: files of shard 2 or above changed"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+/// A crash inside recovery's own compaction — at the checkpoint write or
+/// the WAL truncation of the k-th shard — stops recovery at shard k in id
+/// order, every time: the shards below it are compacted, shard k and the
+/// shards above it keep their WAL tails. After the reboot, a plain
+/// recovery lands on the never-crashed state.
+#[test]
+fn compaction_crash_stops_recovery_at_the_kth_shard_in_id_order() {
+    let expect = multi_shard();
+    for point in [CrashPoint::MidCheckpoint, CrashPoint::MidTruncate] {
+        for k in 0..SHARDS {
+            for repeat in 0..5 {
+                let case = format!("{point:?} k={k} repeat {repeat}");
+                let dir = multi_shard_copy(&format!("multi-crash-{point:?}-{k}-{repeat}"));
+                let above = shard_files(&dir, k + 1);
+                let wal_k = std::fs::read(wal_path(&dir, k)).unwrap();
+
+                let fs = Arc::new(FailpointFs::new());
+                fs.arm(point, k);
+                let err = GraficsFleet::recover_with(Arc::clone(&fs) as Arc<dyn WalFs>, &dir)
+                    .unwrap_err()
+                    .to_string();
+                assert!(fs.crashed(), "{case}: the armed crash never fired");
+                assert!(
+                    err.starts_with(&format!("shard {k}: compaction:")),
+                    "{case}: {err}"
+                );
+                for below in 0..k {
+                    assert_eq!(
+                        std::fs::read_to_string(wal_path(&dir, below)).unwrap(),
+                        encode_header(below),
+                        "{case}: shard {below} was not compacted"
+                    );
+                }
+                assert!(
+                    std::fs::read(wal_path(&dir, k)).unwrap() == wal_k,
+                    "{case}: the crashed shard's WAL changed"
+                );
+                assert!(
+                    shard_files(&dir, k + 1) == above,
+                    "{case}: a shard above the crash was written"
+                );
+
+                fs.apply_power_loss(false);
+                let (back, report) = GraficsFleet::recover(&dir).unwrap();
+                assert_eq!(report.next_rng_index, expect.next_rng_index, "{case}");
+                assert_matches_oracle(&back, &case);
+                drop(back);
+                let _ = std::fs::remove_dir_all(&dir);
+            }
+        }
     }
 }

@@ -213,11 +213,13 @@ fn axpy_k<const DIM: usize>(acc: &mut [f32], g: f32, v: &[f32]) {
 }
 
 /// One positive-plus-negatives step updating only `src` (a row of the
-/// query node): the `update_targets = false` specialisation of the serial
-/// trainer's SGD step, on the fast kernels. Fixed dimensions accumulate
-/// the gradient in a local `[f32; DIM]` that stays in registers; `d > 16`
-/// (`DIM == 0`) zeroes and reuses the scratch slice `grad`. Both start
-/// from zeros and add in the same order, so they agree bit for bit.
+/// query node): the source half of the serial trainer's `sgd::step`,
+/// with the target and negative rows frozen instead of written, no
+/// dropout, and the fast kernels (table sigmoid, [`dot_k`], [`axpy_k`]).
+/// Fixed dimensions accumulate the gradient in a local `[f32; DIM]` that
+/// stays in registers; `d > 16` (`DIM == 0`) zeroes and reuses the
+/// scratch slice `grad`. Both start from zeros and add in the same order,
+/// so they agree bit for bit.
 #[inline(always)]
 #[allow(clippy::too_many_arguments)]
 fn pos_neg_step<const DIM: usize>(
@@ -248,7 +250,9 @@ fn pos_neg_step<const DIM: usize>(
 }
 
 /// A positive-only pull of `src` towards a frozen row — the online
-/// "node as target" update (`update_target_only` in the serial trainer).
+/// "node as target" update: the label-1 target write of `sgd::step`
+/// (`trow += g · src`), here with the query node's row in the target's
+/// place, the other end frozen and no negatives.
 #[inline(always)]
 fn pos_step<const DIM: usize>(
     table: &[f32; SIGMOID_TABLE_SIZE],
