@@ -134,9 +134,12 @@ With --durability set at fleet train time, every absorb is journalled to
 a per-shard write-ahead log before it is acknowledged (fsync:N groups N
 appends per fsync; fsync_ms:T fsyncs dirty appends older than T ms), and
 fleet serve --http replays the WAL on startup so acknowledged absorbs
-survive a crash. fleet recover replays and compacts a durable directory
-by hand, printing what each shard recovered. --access-log PATH appends
-one JSON line per HTTP request (endpoint, status, latency, shard).
+survive a crash (the replayed tail stays in the log until each shard's
+next publish checkpoints it). fleet recover replays a durable directory
+by hand, then publishes every shard, which checkpoints the replay and
+truncates each log, and prints what each shard recovered. --access-log
+PATH appends one JSON line per HTTP request (endpoint, status, latency,
+shard).
 
 fleet route starts the model-free router tier over per-building backend
 processes (each a fleet serve --http): it mirrors their /v1/route_table
@@ -789,9 +792,10 @@ fn fleet_serve(args: &[String]) -> Result<String, String> {
 ///
 /// A durable directory (manifest `durability` != off) goes through
 /// [`GraficsFleet::recover`] instead of a bare load: the WAL tail is
-/// replayed, the absorb sequence resumes past every journalled index,
-/// and `/healthz` reports `degraded` until the recovered state is
-/// re-checkpointed and the tail fsynced.
+/// replayed onto each write side as pending absorbs, each shard serves
+/// its last published checkpoint, and the absorb sequence resumes past
+/// every journalled index. The replayed entries stay in the logs until
+/// each shard's next publish checkpoints them.
 fn fleet_serve_http(flags: &Flags, models: &str, addr: &str) -> Result<String, String> {
     let workers = resolve_threads(flags.parse_or("workers", 2)?);
     let seed: u64 = flags.parse_or("seed", 0)?;
@@ -835,15 +839,6 @@ fn fleet_serve_http(flags: &Flags, models: &str, addr: &str) -> Result<String, S
                 ""
             },
         );
-        // Degraded until the replayed state is checkpointed and the tail
-        // is durable again; requests racing this window see 503 on
-        // /healthz rather than a fleet that could still lose re-absorbs.
-        state.set_recovering(true);
-        state
-            .fleet()
-            .drain_wal()
-            .map_err(|e| format!("post-recovery WAL drain: {e}"))?;
-        state.set_recovering(false);
     }
     eprintln!(
         "serving {shards} shard(s) on http://{local} ({workers} workers; \
@@ -929,14 +924,18 @@ fn fleet_route(args: &[String]) -> Result<String, String> {
 }
 
 /// Replays and compacts a durable fleet directory by hand, printing what
-/// each shard recovered. Useful after a crash before bringing the HTTP
-/// front end back, or to verify a copied-off directory.
+/// each shard recovered. Recovery itself only replays; publishing every
+/// shard then checkpoints the replayed state and truncates each WAL to
+/// its header. Useful after a crash before bringing the HTTP front end
+/// back, or to verify a copied-off directory.
 fn fleet_recover(args: &[String]) -> Result<String, String> {
     let flags = Flags::parse(args)?;
     let models = flags.required("models")?;
     let (fleet, report) = GraficsFleet::recover(models).map_err(|e| e.to_string())?;
-    // Make the post-replay checkpoint and truncated tail durable before
-    // reporting success.
+    // Publish is the checkpoint: it folds the replay into
+    // `checkpoint-<id>.json` and truncates the log. A failed checkpoint
+    // poisons the shard's WAL, which the drain reports.
+    fleet.publish_all();
     fleet.drain_wal().map_err(|e| e.to_string())?;
     let mut out = String::new();
     for s in &report.shards {
@@ -1315,6 +1314,36 @@ mod tests {
         assert!(msg.contains("recovered 2 shard(s)"), "{msg}");
         assert!(msg.contains("0 absorb(s) replayed"), "{msg}");
         assert!(msg.contains("b0:"), "{msg}");
+
+        // A journalled tail: recovery alone leaves it in the log, and
+        // `fleet recover` then publishes every shard, which checkpoints
+        // the replay and truncates every WAL to its header.
+        let corpus = std::fs::read_dir(&data).unwrap().next().unwrap().unwrap();
+        let ds = dio::load_jsonl(corpus.path()).unwrap();
+        {
+            let (fleet, _) = GraficsFleet::recover(&models).unwrap();
+            for (i, sample) in (0..3u64).zip(ds.samples()) {
+                fleet.absorb_durable(&sample.record, 1, i).unwrap();
+            }
+        }
+        let wal_files = || {
+            std::fs::read_dir(&models)
+                .unwrap()
+                .map(|e| e.unwrap().path())
+                .filter(|p| p.extension().is_some_and(|x| x == "jsonl"))
+                .collect::<Vec<_>>()
+        };
+        let entries =
+            |path: &std::path::Path| std::fs::read_to_string(path).unwrap().lines().count() - 1;
+        assert_eq!(wal_files().iter().map(|p| entries(p)).sum::<usize>(), 3);
+        let msg = run(&s(&["fleet", "recover", "--models", &models])).unwrap();
+        assert!(msg.contains("3 absorb(s) replayed"), "{msg}");
+        assert_eq!(wal_files().len(), 2);
+        for path in wal_files() {
+            assert_eq!(entries(&path), 0, "{}: not header-only", path.display());
+        }
+        let msg = run(&s(&["fleet", "recover", "--models", &models])).unwrap();
+        assert!(msg.contains("0 absorb(s) replayed"), "{msg}");
 
         std::fs::remove_dir_all(&base).ok();
     }

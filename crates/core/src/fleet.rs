@@ -67,8 +67,8 @@
 use crate::pool;
 use crate::route::{RouteIndex, RouterKind};
 use crate::wal::{
-    self, checkpoint_file_name, encode_header, wal_file_name, FloorBucket, StdWalFs, WalEntry,
-    WalFs, WalStats, WalWriter,
+    self, checkpoint_file_name, encode_header, wal_file_name, FloorBucket, StdWalFs, TailRepair,
+    WalEntry, WalFs, WalStats, WalWriter,
 };
 use crate::{
     record_rng, Grafics, GraficsError, GraficsServer, Prediction, ServeCounters, ServingPolicy,
@@ -387,16 +387,13 @@ impl WriteSide {
     }
 
     /// The encode half of a checkpoint: the JSON of `checkpoint-<id>.json`
-    /// holding `model`, the retention queues and the WAL cursors
-    /// (`next_seq` becomes the watermark). `model` is the model to
-    /// persist: the publish path hands the snapshot clone it just made,
-    /// recovery hands `self.model` after replay.
+    /// holding the model, the retention queues and the WAL cursors
+    /// (`next_seq` becomes the watermark).
     fn encode_checkpoint(
         &self,
         id: BuildingId,
         next_seq: u64,
         next_rng: u64,
-        model: &Grafics,
     ) -> Result<String, String> {
         let absorbed: Vec<RecordId> = self.absorbed.iter().copied().collect();
         let by_floor: Vec<FloorBucket> = self
@@ -414,7 +411,7 @@ impl WriteSide {
             self.pending,
             &absorbed,
             &by_floor,
-            model,
+            &self.model,
         )
     }
 }
@@ -453,7 +450,7 @@ impl ShardWal {
             .write_atomic(&self.dir.join(checkpoint_file_name(id.0)), doc.as_bytes())
             .map_err(as_io)?;
         let wal_path = self.dir.join(wal_file_name(id.0));
-        self.fs.truncate(&wal_path).map_err(as_io)?;
+        self.fs.truncate(&wal_path, 0).map_err(as_io)?;
         let header = encode_header(id.0);
         self.fs
             .append(&wal_path, header.as_bytes())
@@ -809,7 +806,7 @@ impl Shard {
         guard.pending = 0;
         if let Some(shard_wal) = &guard.wal {
             let checkpoint = guard
-                .encode_checkpoint(self.id, shard_wal.next_seq, shard_wal.next_rng, &next)
+                .encode_checkpoint(self.id, shard_wal.next_seq, shard_wal.next_rng)
                 .and_then(|doc| shard_wal.persist_checkpoint(self.id, &doc));
             if let Err(e) = checkpoint {
                 shard_wal.writer.poison(&e);
@@ -1715,12 +1712,18 @@ impl GraficsFleet {
     /// property the `wal` integration tests pin with the sampler-parity
     /// machinery.
     ///
+    /// Each shard serves its last published checkpoint while its write
+    /// side holds the replayed tail as pending absorbs. The entries stay
+    /// in the WAL until the shard's next [`Shard::publish`] checkpoints
+    /// and truncates them, so a shard that never publishes replays its
+    /// whole unpublished tail on every restart.
+    ///
     /// When the manifest's [`DurabilityPolicy`] is not `Off`, every
-    /// shard comes back with a WAL attached and freshly compacted
-    /// (checkpointed + truncated), so serving can resume immediately;
-    /// resume the absorb sequence at
+    /// shard comes back with its WAL re-attached as it is, so serving can
+    /// resume immediately; resume the absorb sequence at
     /// [`RecoveryReport::next_rng_index`] so RNG streams are never
-    /// reused.
+    /// reused. Recovery writes only to a log whose last line is
+    /// incomplete ([`TailRepair`]) or that lacks its header.
     ///
     /// # Threads
     ///
@@ -1728,13 +1731,12 @@ impl GraficsFleet {
     /// `available_parallelism` threads named `grafics-load-<k>`, started
     /// by the first recovery in the process and reused by every later
     /// one, never joined. A pool job only reads files: it decodes one
-    /// shard's checkpoint (or legacy model), replays its WAL tail and
-    /// encodes its compaction checkpoint. This thread takes the results
-    /// in ascending id order; for each shard it copies the models into
-    /// its own allocations, then re-attaches the WAL and persists the
-    /// checkpoint. Every [`WalFs`] call therefore happens on this thread,
-    /// in the same order as a one-shard-at-a-time recovery would issue
-    /// them. A panic in a job is resumed on this thread.
+    /// shard's checkpoint (or legacy model) and replays its WAL tail.
+    /// This thread takes the results in ascending id order; for each
+    /// shard it copies the models into its own allocations, then repairs
+    /// and re-attaches the WAL. Every [`WalFs`] call therefore happens on
+    /// this thread, in the same order as a one-shard-at-a-time recovery
+    /// would issue them. A panic in a job is resumed on this thread.
     ///
     /// # Errors
     ///
@@ -1742,21 +1744,21 @@ impl GraficsFleet {
     /// sequence gap, or a replay failure that cannot have happened
     /// pre-crash. With several bad shards, the error of the lowest id is
     /// returned: the shards below it were recovered (and, with
-    /// durability on, compacted), and no file of that shard or of any
-    /// shard above it was written.
+    /// durability on, their WALs repaired), and no file of that shard or
+    /// of any shard above it was written.
     pub fn recover<P: AsRef<Path>>(dir: P) -> std::io::Result<(Self, RecoveryReport)> {
         GraficsFleet::recover_with(Arc::new(StdWalFs), dir)
     }
 
     /// [`GraficsFleet::recover`] with an injectable [`WalFs`] for the
-    /// re-attached writers (fault-injection tests crash recovery's own
-    /// compaction through this). Only this thread calls `fs`, in
-    /// ascending shard id order.
+    /// tail repairs and the re-attached writers (fault-injection tests
+    /// crash recovery's own repairs through this). Only this thread calls
+    /// `fs`, in ascending shard id order.
     ///
     /// # Errors
     ///
     /// As [`GraficsFleet::recover`]; a failing `fs` call during a
-    /// shard's compaction fails recovery at that shard.
+    /// shard's tail repair fails recovery at that shard.
     pub fn recover_with<P: AsRef<Path>>(
         fs: Arc<dyn WalFs>,
         dir: P,
@@ -1789,13 +1791,12 @@ impl GraficsFleet {
             ));
         }
 
-        // Each shard's reads, replay and checkpoint encode run as one job
-        // on the loader pool. The results come back here in id order,
-        // and every `WalFs` call happens on this thread in that order, as
-        // a one-shard-at-a-time recovery issues them.
+        // Each shard's reads and replay run as one job on the loader
+        // pool. The results come back here in id order, and every `WalFs`
+        // call happens on this thread in that order, as a
+        // one-shard-at-a-time recovery issues them.
         let shared_dir: Arc<Path> = Arc::from(dir);
         let retention = manifest.retention;
-        let compact = !manifest.durability.is_off();
         // The lowest shard index known to have failed: recovery returns
         // its error (or a lower one's), so jobs above it skip their work.
         let failed = Arc::new(AtomicUsize::new(usize::MAX));
@@ -1805,7 +1806,7 @@ impl GraficsFleet {
                 if i > failed.load(Ordering::Relaxed) {
                     return Err(std::io::Error::other("skipped: a lower shard failed"));
                 }
-                let recovered = recover_shard(&dir, id, retention, compact);
+                let recovered = recover_shard(&dir, id, retention);
                 if recovered.is_err() {
                     failed.fetch_min(i, Ordering::Relaxed);
                 }
@@ -1905,22 +1906,20 @@ struct RecoveredShard {
     /// The cursors the reattached WAL resumes at.
     next_seq: u64,
     next_rng: u64,
-    /// The compaction checkpoint of `write`; `None` when durability is
-    /// off.
-    checkpoint: Option<Result<String, String>>,
+    /// The write that makes the WAL appendable again, if its last line
+    /// is incomplete.
+    repair: Option<TailRepair>,
 }
 
 /// The read-only part of recovering shard `id` from `dir`, run on the
 /// loader pool: read the checkpoint (falling back to the legacy
-/// `shard-<id>.json` model), replay the WAL tail on the deterministic
+/// `shard-<id>.json` model) and replay the WAL tail on the deterministic
 /// per-entry RNG streams (skipping entries below the watermark, dropping
-/// a torn final line), and, if `compact`, encode the compaction
-/// checkpoint. It only reads files.
+/// a torn final line). It only reads files.
 fn recover_shard(
     dir: &Path,
     id: u32,
     retention: RetentionPolicy,
-    compact: bool,
 ) -> std::io::Result<RecoveredShard> {
     let building = BuildingId(id);
     let (mut write, watermark, mut next_rng, from_checkpoint) = match wal::read_checkpoint(dir, id)?
@@ -1975,8 +1974,6 @@ fn recover_shard(
         next_rng = next_rng.max(entry.rng + 1);
     }
 
-    let checkpoint =
-        compact.then(|| write.encode_checkpoint(building, expected, next_rng, &write.model));
     Ok(RecoveredShard {
         snapshot,
         write,
@@ -1990,15 +1987,15 @@ fn recover_shard(
         },
         next_seq: expected,
         next_rng,
-        checkpoint,
+        repair: parsed.repair,
     })
 }
 
 impl RecoveredShard {
     /// The calling thread's part: rehome the models and retention
-    /// queues, then, if a checkpoint was encoded, reattach the WAL under
-    /// `policy` and persist the checkpoint. Returns the shard, its report
-    /// line and its next RNG index.
+    /// queues, then, unless `policy` is `Off`, repair the WAL's tail and
+    /// reattach it. Returns the shard, its report line and its next RNG
+    /// index.
     fn adopt(
         self,
         fs: &Arc<dyn WalFs>,
@@ -2011,7 +2008,7 @@ impl RecoveredShard {
             report,
             next_seq,
             next_rng,
-            checkpoint,
+            repair,
         } = self;
         let id = report.building;
         let snapshot = Arc::new(rehome(snapshot));
@@ -2022,13 +2019,15 @@ impl RecoveredShard {
             write.by_floor.clone(),
             write.pending,
         );
-        if let Some(doc) = checkpoint {
+        if !policy.is_off() {
+            let path = dir.join(wal_file_name(id.0));
+            if let Some(Err(e)) = repair.map(|repair| repair.apply(fs.as_ref(), &path)) {
+                return Err(std::io::Error::other(format!(
+                    "shard {}: WAL tail repair: {e}",
+                    id.0
+                )));
+            }
             let shard_wal = ShardWal::open(Arc::clone(fs), dir, id, policy, next_seq, next_rng)?;
-            // Compact immediately: the checkpoint absorbs the replay and
-            // the truncation clears torn bytes and stale entries, leaving
-            // a clean appendable log.
-            doc.and_then(|doc| shard_wal.persist_checkpoint(id, &doc))
-                .map_err(|e| std::io::Error::other(format!("shard {}: compaction: {e}", id.0)))?;
             write.wal = Some(shard_wal);
         }
         Ok((Shard::from_parts(id, snapshot, write), report, next_rng))

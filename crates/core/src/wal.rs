@@ -26,7 +26,9 @@
 //! are never logged — they change no state); `seed` rides along per entry
 //! so replay never depends on out-of-band configuration. A torn final
 //! line (power loss mid-append) is tolerated: parsing stops at the first
-//! malformed line and recovery replays the longest valid prefix.
+//! malformed line and recovery replays the longest valid prefix, then
+//! cuts the torn bytes away ([`TailRepair`]) so the next append starts a
+//! fresh line.
 //!
 //! Checkpoints (`checkpoint-<id>.json`, written atomically on publish)
 //! carry the model *and* the WAL watermark in one file, so the two can
@@ -109,12 +111,12 @@ pub trait WalFs: Send + Sync {
     /// The underlying IO error (or an injected crash).
     fn write_atomic(&self, path: &Path, bytes: &[u8]) -> io::Result<()>;
 
-    /// Truncates `path` to zero length (durably).
+    /// Truncates `path` to its first `len` bytes (durably).
     ///
     /// # Errors
     ///
     /// The underlying IO error (or an injected crash).
-    fn truncate(&self, path: &Path) -> io::Result<()>;
+    fn truncate(&self, path: &Path, len: u64) -> io::Result<()>;
 }
 
 /// The real filesystem.
@@ -157,8 +159,10 @@ impl WalFs for StdWalFs {
         Ok(())
     }
 
-    fn truncate(&self, path: &Path) -> io::Result<()> {
-        std::fs::File::create(path)?.sync_all()
+    fn truncate(&self, path: &Path, len: u64) -> io::Result<()> {
+        let file = std::fs::File::options().write(true).open(path)?;
+        file.set_len(len)?;
+        file.sync_all()
     }
 }
 
@@ -186,8 +190,9 @@ pub enum CrashPoint {
     /// The checkpoint's temporary file is half-written and the rename
     /// never happens — the old checkpoint must survive untouched.
     MidCheckpoint,
-    /// The post-checkpoint WAL truncation never ran — stale entries
-    /// below the watermark are left behind and must be skipped.
+    /// A WAL truncation never ran: after a checkpoint, stale entries
+    /// below the watermark are left behind and must be skipped; in
+    /// recovery's tail repair, the torn line survives.
     MidTruncate,
 }
 
@@ -354,18 +359,19 @@ impl WalFs for FailpointFs {
         Ok(())
     }
 
-    fn truncate(&self, path: &Path) -> io::Result<()> {
+    fn truncate(&self, path: &Path, len: u64) -> io::Result<()> {
         if self.crashed() {
             return Err(Self::crash_error());
         }
         let mut st = self.state.lock().expect("failpoint mutex");
         if self.should_fire(&mut st, CrashPoint::MidTruncate) {
-            // Die before the truncation takes effect: the stale WAL tail
-            // survives and replay must skip it by watermark.
+            // Die before the truncation takes effect: the cut-off bytes
+            // survive, and replay skips them by watermark or stops at the
+            // torn line again.
             return Err(Self::crash_error());
         }
-        self.real.truncate(path)?;
-        st.durable.insert(path.to_path_buf(), 0);
+        self.real.truncate(path, len)?;
+        st.durable.insert(path.to_path_buf(), len);
         Ok(())
     }
 }
@@ -434,42 +440,81 @@ pub struct ParsedWal {
     pub entries: Vec<WalEntry>,
     /// `true` if parsing stopped at a malformed (torn) line.
     pub torn: bool,
+    /// The write that makes the log appendable again, if its last line
+    /// is incomplete.
+    pub repair: Option<TailRepair>,
+}
+
+/// How a log whose last line is incomplete is repaired, so the next
+/// append starts a fresh line. Neither drops an entry of
+/// [`ParsedWal::entries`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum TailRepair {
+    /// Cut the file back to this many bytes, the end of its last whole
+    /// line: a torn final line (and anything after it) goes.
+    Truncate(u64),
+    /// The last entry is whole but lacks its `\n`: append one.
+    Terminate,
+}
+
+impl TailRepair {
+    /// Applies the repair to the log at `path` and makes it durable.
+    ///
+    /// # Errors
+    ///
+    /// The underlying IO error (or an injected crash).
+    pub fn apply(self, fs: &dyn WalFs, path: &Path) -> io::Result<()> {
+        match self {
+            TailRepair::Truncate(len) => fs.truncate(path, len),
+            TailRepair::Terminate => {
+                fs.append(path, b"\n")?;
+                fs.fsync(path)
+            }
+        }
+    }
 }
 
 /// Parses WAL bytes, tolerating a torn tail: the first malformed line
 /// ends the valid prefix. A final line that parses completely but lacks
-/// its trailing newline is accepted — its content is whole.
+/// its trailing newline is accepted — its content is whole. Offsets are
+/// taken on the bytes, and a line that is not UTF-8 is malformed.
 #[must_use]
 pub fn parse_wal(bytes: &[u8]) -> ParsedWal {
-    let text = String::from_utf8_lossy(bytes);
-    let mut lines = text.split('\n');
     let mut out = ParsedWal {
         header: None,
         entries: Vec::new(),
         torn: false,
+        repair: None,
     };
-    match lines.next() {
-        Some(first) if !first.is_empty() => match serde_json::from_str::<WalHeader>(first) {
-            Ok(h) => out.header = Some(h),
-            Err(_) => {
-                out.torn = true;
-                return out;
-            }
-        },
-        _ => return out,
-    }
-    for line in lines {
-        if line.is_empty() {
-            continue; // the empty fragment after a trailing newline
+    // The end of the last whole line kept: the header, an entry or an
+    // empty line between entries.
+    let mut valid = 0;
+    for (i, line) in bytes.split_inclusive(|&b| b == b'\n').enumerate() {
+        let text = std::str::from_utf8(line).map(|text| text.strip_suffix('\n').unwrap_or(text));
+        let parsed = match (i, text) {
+            (0, Ok("")) => break, // no header line: an empty log
+            (0, Ok(text)) => serde_json::from_str(text)
+                .map(|h| out.header = Some(h))
+                .is_ok(),
+            (_, Ok("")) => true,
+            (_, Ok(text)) => serde_json::from_str(text)
+                .map(|e| out.entries.push(e))
+                .is_ok(),
+            (_, Err(_)) => false,
+        };
+        if !parsed {
+            out.torn = true;
+            break;
         }
-        match serde_json::from_str::<WalEntry>(line) {
-            Ok(entry) => out.entries.push(entry),
-            Err(_) => {
-                out.torn = true;
-                break;
-            }
-        }
+        valid += line.len();
     }
+    out.repair = if valid < bytes.len() {
+        Some(TailRepair::Truncate(valid as u64))
+    } else if bytes.last().is_some_and(|&b| b != b'\n') {
+        Some(TailRepair::Terminate)
+    } else {
+        None
+    };
     out
 }
 
@@ -478,11 +523,7 @@ pub fn parse_wal(bytes: &[u8]) -> ParsedWal {
 pub fn read_wal(dir: &Path, building: u32) -> ParsedWal {
     match std::fs::read(dir.join(wal_file_name(building))) {
         Ok(bytes) => parse_wal(&bytes),
-        Err(_) => ParsedWal {
-            header: None,
-            entries: Vec::new(),
-            torn: false,
-        },
+        Err(_) => parse_wal(&[]),
     }
 }
 
@@ -977,6 +1018,71 @@ mod tests {
         let parsed = parse_wal(full.as_bytes());
         assert!(!parsed.torn);
         assert_eq!(parsed.entries.len(), 2);
+        assert_eq!(parsed.repair, None);
+    }
+
+    #[test]
+    fn tail_repair_offsets_are_taken_on_the_bytes() {
+        let header = encode_header(1);
+        let line = encode_entry(&entry(0)).unwrap();
+        let whole = format!("{header}{line}");
+        let keep = whole.len() as u64;
+        // A torn line cut inside a multi-byte character: a lossy decode
+        // would widen the two stray bytes to a three-byte U+FFFD and
+        // shift every offset after it.
+        let mut torn = whole.clone().into_bytes();
+        torn.extend_from_slice(b"{\"seq\":1,\"x\":\"\xe2\x82");
+        let parsed = parse_wal(&torn);
+        assert!(parsed.torn);
+        assert_eq!(parsed.entries.len(), 1);
+        assert_eq!(parsed.repair, Some(TailRepair::Truncate(keep)));
+        // A whole last entry without its newline is kept and terminated.
+        let parsed = parse_wal(&whole.as_bytes()[..whole.len() - 1]);
+        assert!(!parsed.torn);
+        assert_eq!(parsed.entries.len(), 1);
+        assert_eq!(parsed.repair, Some(TailRepair::Terminate));
+        // So is a header-only log whose header lacks it.
+        let parsed = parse_wal(&header.as_bytes()[..header.len() - 1]);
+        assert!(parsed.header.is_some());
+        assert_eq!(parsed.repair, Some(TailRepair::Terminate));
+        // A torn header, or a log that starts with an empty line, has no
+        // whole line to keep.
+        assert_eq!(
+            parse_wal(&header.as_bytes()[..5]).repair,
+            Some(TailRepair::Truncate(0))
+        );
+        assert_eq!(
+            parse_wal(format!("\n{line}").as_bytes()).repair,
+            Some(TailRepair::Truncate(0))
+        );
+        assert_eq!(parse_wal(b"").repair, None);
+    }
+
+    #[test]
+    fn tail_repair_applies_through_the_fs() {
+        let dir = tmp_dir("tail-repair");
+        let path = dir.join("wal-0.jsonl");
+        let whole = format!("{}{}", encode_header(0), encode_entry(&entry(0)).unwrap());
+        let fs = FailpointFs::new();
+        std::fs::write(&path, format!("{whole}{{\"seq\":1,")).unwrap();
+        TailRepair::Truncate(whole.len() as u64)
+            .apply(&fs, &path)
+            .unwrap();
+        assert_eq!(std::fs::read(&path).unwrap(), whole.as_bytes());
+        std::fs::write(&path, whole.trim_end()).unwrap();
+        TailRepair::Terminate.apply(&fs, &path).unwrap();
+        assert_eq!(std::fs::read(&path).unwrap(), whole.as_bytes());
+        // Both repairs are durable: a power cut right after keeps them.
+        fs.crash_now();
+        fs.apply_power_loss(false);
+        assert_eq!(std::fs::read(&path).unwrap(), whole.as_bytes());
+        // An armed crash leaves the torn bytes in place.
+        std::fs::write(&path, format!("{whole}{{\"seq\":1,")).unwrap();
+        fs.arm(CrashPoint::MidTruncate, 0);
+        assert!(TailRepair::Truncate(whole.len() as u64)
+            .apply(&fs, &path)
+            .is_err());
+        assert_eq!(std::fs::read(&path).unwrap().len(), whole.len() + 9);
     }
 
     #[test]

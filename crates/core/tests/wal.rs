@@ -9,7 +9,7 @@
 //! map cannot produce false negatives), and the incrementally-synced
 //! `NegativeSampler` weights against a from-scratch rebuild.
 
-use grafics_core::wal::{encode_header, ALL_CRASH_POINTS};
+use grafics_core::wal::ALL_CRASH_POINTS;
 use grafics_core::{
     record_rng, CrashPoint, DurabilityPolicy, FailpointFs, Grafics, GraficsConfig, GraficsFleet,
     ShardRecovery, WalFs,
@@ -139,8 +139,8 @@ fn assert_shard_sampler_parity(fleet: &GraficsFleet, id: BuildingId) {
 }
 
 /// Graceful restart: recover → absorb → drop (drain-on-drop) → recover
-/// replays to the exact never-crashed state, and a third recovery off
-/// the compacted checkpoint is idempotent.
+/// replays to the exact never-crashed state, and a third recovery, which
+/// replays the same unpublished tail, lands there again.
 #[test]
 fn graceful_restart_replays_to_bit_identical_state() {
     let dir = durable_dir("graceful", DurabilityPolicy::FsyncEveryN(1));
@@ -168,11 +168,12 @@ fn graceful_restart_replays_to_bit_identical_state() {
     assert_sampler_parity(&back);
     drop(back);
 
-    // Recovery compacted: the checkpoint now owns all six absorbs and a
-    // third recovery replays nothing yet lands on the same state.
+    // Recovery writes no checkpoint: nothing was published, so the six
+    // absorbs are still only in the log and a third recovery replays them
+    // again onto the same state.
     let (again, report) = GraficsFleet::recover(&dir).unwrap();
-    assert_eq!(report.shards[0].watermark, 6);
-    assert_eq!(report.shards[0].replayed, 0);
+    assert_eq!(report.shards[0].watermark, 0);
+    assert_eq!(report.shards[0].replayed, 6);
     assert_eq!(write_value(&again), expect);
 }
 
@@ -288,9 +289,13 @@ fn crash_matrix_recovery_restores_exact_durable_prefix() {
     }
 }
 
-/// Satellite (d): cutting the WAL at **every byte offset** of its final
-/// record recovers exactly the longest valid prefix — 2 entries while
-/// the last line is incomplete, all 3 once its JSON is whole.
+/// Cutting the WAL at **every byte offset** of its final record recovers
+/// exactly the longest valid prefix — 2 entries while the last line is
+/// incomplete, all 3 once its JSON is whole. After each recovery one more
+/// record is absorbed and the fleet restarts: the second recovery must
+/// hold the surviving prefix plus that absorb, which pins that recovery
+/// leaves the log ready for a fresh line (a torn line cut away, a missing
+/// final newline supplied).
 #[test]
 fn torn_tail_truncation_sweep_recovers_longest_valid_prefix() {
     let dir = durable_dir("sweep", DurabilityPolicy::FsyncEveryN(1));
@@ -313,8 +318,18 @@ fn torn_tail_truncation_sweep_recovers_longest_valid_prefix() {
     assert_eq!(newlines.len(), 4, "header + 3 entries");
     let last_start = newlines[2] + 1;
 
-    let expect2 = oracle_value(&sequential_prefix(2));
-    let expect3 = oracle_value(&sequential_prefix(3));
+    // The record absorbed after recovery, on the next free rng index.
+    const NEXT: usize = 3;
+    let plus_next = |k: u64| {
+        let mut absorbed = sequential_prefix(k);
+        absorbed.push((NEXT, k));
+        oracle_value(&absorbed)
+    };
+    let expect = [
+        oracle_value(&sequential_prefix(2)),
+        oracle_value(&sequential_prefix(3)),
+    ];
+    let expect_next = [plus_next(2), plus_next(3)];
     let sweep_root = std::env::temp_dir().join(format!("grafics-wal-sweep-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&sweep_root);
     std::fs::create_dir_all(&sweep_root).unwrap();
@@ -326,47 +341,36 @@ fn torn_tail_truncation_sweep_recovers_longest_valid_prefix() {
         let s = report.shards[0];
         // A complete final JSON line counts even without its newline.
         let whole = cut >= wal.len() - 1;
-        assert_eq!(
-            s.watermark + s.replayed,
-            if whole { 3 } else { 2 },
-            "cut at byte {cut}"
-        );
+        let k = if whole { 3 } else { 2 };
+        assert_eq!(s.watermark + s.replayed, k, "cut at byte {cut}");
         assert_eq!(s.torn, !whole && cut > last_start, "cut at byte {cut}");
-        // The full model comparison is the expensive part: spot-check a
-        // stride plus every boundary byte.
-        if cut % 13 == 0 || cut <= last_start + 1 || cut >= wal.len() - 2 {
-            let expect = if whole { &expect3 } else { &expect2 };
-            assert_eq!(&write_value(&back), expect, "cut at byte {cut}");
-        }
-        drop(back);
+        assert_eq!(report.next_rng_index, k, "cut at byte {cut}");
+        let at = usize::from(whole);
+        assert_eq!(write_value(&back), expect[at], "cut at byte {cut}");
+        back.absorb_to_durable(B0, &records[NEXT], SEED, k).unwrap();
+        drop(back); // drains the new entry
+
+        let (again, report) = GraficsFleet::recover(&case).unwrap();
+        let s = report.shards[0];
+        assert_eq!(
+            (s.watermark + s.replayed, s.torn),
+            (k + 1, false),
+            "cut at byte {cut}: the absorb after the repair was not replayed"
+        );
+        assert_eq!(write_value(&again), expect_next[at], "cut at byte {cut}");
+        drop(again);
         let _ = std::fs::remove_dir_all(&case);
     }
 }
 
-/// Copies a fleet directory with the WAL replaced by a truncated prefix
-/// and durability forced off, so each swept recovery replays without
-/// paying for re-attach + compaction (replay is policy-independent).
+/// Copies a fleet directory with the WAL replaced by a truncated prefix.
 fn copy_with_truncated_wal(from: &Path, to: &Path, wal: &[u8]) {
     std::fs::create_dir_all(to).unwrap();
-    for name in ["checkpoint-0.json", "shard-0.json"] {
+    for name in ["checkpoint-0.json", "shard-0.json", "fleet.json"] {
         if from.join(name).exists() {
             std::fs::copy(from.join(name), to.join(name)).unwrap();
         }
     }
-    let mut manifest: JsonValue =
-        serde_json::from_str(&std::fs::read_to_string(from.join("fleet.json")).unwrap()).unwrap();
-    if let JsonValue::Map(entries) = &mut manifest {
-        for (key, value) in entries.iter_mut() {
-            if key == "durability" {
-                *value = serde_json::value_of(&DurabilityPolicy::Off);
-            }
-        }
-    }
-    std::fs::write(
-        to.join("fleet.json"),
-        serde_json::to_string(&manifest).unwrap(),
-    )
-    .unwrap();
     std::fs::write(to.join("wal-0.jsonl"), wal).unwrap();
 }
 
@@ -454,7 +458,7 @@ proptest! {
                     );
                     prop_assert!(k <= accepted.len());
                     accepted.truncate(k);
-                    durable_floor = k; // recovery compacts into a checkpoint
+                    durable_floor = k; // the replayed prefix is on disk already
                     next_rng = next_rng.max(report.next_rng_index);
                     prop_assert_eq!(write_value(&back), oracle_value(&accepted));
                     fleet = back;
@@ -515,9 +519,10 @@ fn wal_path(dir: &Path, id: u32) -> PathBuf {
 }
 
 /// Builds the multi-shard directory once: six copies of the fixture
-/// model absorb an interleaved stream through a durable fleet; the STALE
-/// shards publish halfway; then the files are edited into the shapes a
-/// crash leaves behind.
+/// model, every shard but LEGACY checkpointed by a publish, absorb an
+/// interleaved stream through a durable fleet; the STALE shards publish
+/// halfway; then the files are edited into the shapes a crash leaves
+/// behind.
 fn multi_shard() -> &'static MultiShard {
     static DIR: OnceLock<MultiShard> = OnceLock::new();
     DIR.get_or_init(|| {
@@ -536,6 +541,9 @@ fn multi_shard() -> &'static MultiShard {
         // survives, in order.
         let mut log: Vec<Vec<(usize, u64)>> = vec![Vec::new(); SHARDS as usize];
         let (fleet, _) = GraficsFleet::recover(&dir).unwrap();
+        for id in (0..SHARDS).filter(|&id| id != LEGACY) {
+            fleet.shard(BuildingId(id)).unwrap().publish();
+        }
         let mut absorb = |fleet: &GraficsFleet, t: u64| {
             let id = interleaved_shard(t);
             let idx = usize::try_from(t).unwrap() % records.len();
@@ -577,7 +585,7 @@ fn multi_shard() -> &'static MultiShard {
             std::fs::write(wal_path(&dir, id), &wal[..last + (wal.len() - last) / 2]).unwrap();
             log[id as usize].pop();
         }
-        std::fs::remove_file(dir.join(format!("checkpoint-{LEGACY}.json"))).unwrap();
+        assert!(!dir.join(format!("checkpoint-{LEGACY}.json")).exists());
 
         let published = ABSORBS / 2 / u64::from(SHARDS);
         let report: Vec<ShardRecovery> = (0..SHARDS)
@@ -634,31 +642,45 @@ fn multi_shard_copy(name: &str) -> PathBuf {
     to
 }
 
-/// Every file of `dir` that belongs to a shard with id `>= from`, with
-/// its bytes (names ending in `-<id>.json`, `-<id>.jsonl` or a `.tmp`
-/// of either).
-fn shard_files(dir: &Path, from: u32) -> Vec<(String, Vec<u8>)> {
+/// WAL bytes cut back to the end of their last whole line.
+fn clean_tail(wal: &[u8]) -> &[u8] {
+    &wal[..=wal.iter().rposition(|&b| b == b'\n').unwrap()]
+}
+
+/// Every file of `dir`, with its bytes, sorted by name.
+fn all_files(dir: &Path) -> Vec<(String, Vec<u8>)> {
     let mut files: Vec<(String, Vec<u8>)> = std::fs::read_dir(dir)
         .unwrap()
-        .map(|e| e.unwrap().file_name().into_string().unwrap())
-        .filter(|name| {
-            let stem = name.trim_end_matches(".tmp");
-            let stem = stem
-                .strip_suffix(".jsonl")
-                .or_else(|| stem.strip_suffix(".json"))
-                .unwrap_or(stem);
-            stem.rsplit('-')
-                .next()
-                .and_then(|id| id.parse::<u32>().ok())
-                .is_some_and(|id| id >= from)
-        })
-        .map(|name| {
+        .map(|e| {
+            let name = e.unwrap().file_name().into_string().unwrap();
             let bytes = std::fs::read(dir.join(&name)).unwrap();
             (name, bytes)
         })
         .collect();
     files.sort();
     files
+}
+
+/// The shard id a file belongs to (names ending in `-<id>.json`,
+/// `-<id>.jsonl` or a `.tmp` of either).
+fn file_shard(name: &str) -> Option<u32> {
+    let stem = name.trim_end_matches(".tmp");
+    let stem = stem
+        .strip_suffix(".jsonl")
+        .or_else(|| stem.strip_suffix(".json"))
+        .unwrap_or(stem);
+    stem.rsplit('-')
+        .next()
+        .and_then(|id| id.parse::<u32>().ok())
+}
+
+/// Every file of `dir` that belongs to a shard with id `>= from`, with
+/// its bytes.
+fn shard_files(dir: &Path, from: u32) -> Vec<(String, Vec<u8>)> {
+    all_files(dir)
+        .into_iter()
+        .filter(|(name, _)| file_shard(name).is_some_and(|id| id >= from))
+        .collect()
 }
 
 /// Every shard of a recovered multi-shard fleet equals the never-crashed
@@ -699,12 +721,77 @@ fn multi_shard_recovery_matches_the_never_crashed_fleet() {
     assert!(fleet.wal_attached());
     drop(fleet);
 
-    // Compaction folded every tail into a checkpoint.
+    // Recovery checkpointed nothing and only cut the torn lines away: the
+    // second recovery replays the same tails onto the same state.
     let (again, report) = GraficsFleet::recover(&dir).unwrap();
-    assert_eq!(report.total_replayed(), 0);
+    let repaired: Vec<ShardRecovery> = expect
+        .report
+        .iter()
+        .map(|&s| ShardRecovery { torn: false, ..s })
+        .collect();
+    assert_eq!(report.shards, repaired);
     assert_eq!(report.next_rng_index, expect.next_rng_index);
     assert_matches_oracle(&again, "second recovery");
     drop(again);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Recovering a directory whose logs all end in a whole line reads every
+/// file and writes none: names and bytes are unchanged after one
+/// recovery, and again after a second.
+#[test]
+fn recovering_clean_logs_writes_no_file() {
+    let dir = multi_shard_copy("multi-clean");
+    for id in TORN {
+        let wal = std::fs::read(wal_path(&dir, id)).unwrap();
+        std::fs::write(wal_path(&dir, id), clean_tail(&wal)).unwrap();
+    }
+    let before = all_files(&dir);
+    for round in ["first", "second"] {
+        let (fleet, report) = GraficsFleet::recover(&dir).unwrap();
+        assert!(!report.any_torn(), "{round} recovery");
+        assert_matches_oracle(&fleet, &format!("{round} recovery"));
+        drop(fleet);
+        assert!(
+            all_files(&dir) == before,
+            "{round} recovery changed a file of a clean directory"
+        );
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Answers do not depend on how often the fleet restarted: each shard
+/// serves its last published checkpoint after every recovery, so two
+/// restarts in a row serve bit-identical answers, and both write sides
+/// stand where the never-crashed fleet does.
+#[test]
+fn answers_do_not_depend_on_the_number_of_restarts() {
+    let dir = multi_shard_copy("multi-restarts");
+    let (_, records) = fixture();
+    let serve = |context: &str| {
+        let (fleet, _) = GraficsFleet::recover(&dir).unwrap();
+        assert_matches_oracle(&fleet, context);
+        fleet.serve_batch(records, 77, 2)
+    };
+    let first = serve("first recovery");
+    let second = serve("second recovery");
+    assert!(first.iter().any(Option::is_some), "nothing was served");
+    assert_eq!(first.len(), second.len());
+    for (i, (a, b)) in first.iter().zip(&second).enumerate() {
+        match (a, b) {
+            (Some(a), Some(b)) => {
+                assert_eq!(a.building, b.building, "record {i} routed differently");
+                assert_eq!(a.floor, b.floor, "record {i}");
+                assert_eq!(
+                    a.distance.to_bits(),
+                    b.distance.to_bits(),
+                    "record {i}: distances must match bitwise"
+                );
+            }
+            (None, None) => {}
+            _ => panic!("record {i}: presence differs across restarts"),
+        }
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -737,55 +824,55 @@ fn lowest_failing_shard_is_reported_and_later_shards_are_untouched() {
     }
 }
 
-/// A crash inside recovery's own compaction — at the checkpoint write or
-/// the WAL truncation of the k-th shard — stops recovery at shard k in id
-/// order, every time: the shards below it are compacted, shard k and the
-/// shards above it keep their WAL tails. After the reboot, a plain
-/// recovery lands on the never-crashed state.
+/// A crash inside recovery's own tail repair — the truncation of the
+/// k-th torn shard's WAL — stops recovery at that shard in id order,
+/// every time: the torn shards below it are repaired, every other file
+/// below it is untouched, and the crashed shard and the shards above it
+/// keep their files. After the reboot, a plain recovery lands on the
+/// never-crashed state.
 #[test]
-fn compaction_crash_stops_recovery_at_the_kth_shard_in_id_order() {
+fn tail_repair_crash_stops_recovery_at_the_kth_shard_in_id_order() {
     let expect = multi_shard();
-    for point in [CrashPoint::MidCheckpoint, CrashPoint::MidTruncate] {
-        for k in 0..SHARDS {
-            for repeat in 0..5 {
-                let case = format!("{point:?} k={k} repeat {repeat}");
-                let dir = multi_shard_copy(&format!("multi-crash-{point:?}-{k}-{repeat}"));
-                let above = shard_files(&dir, k + 1);
-                let wal_k = std::fs::read(wal_path(&dir, k)).unwrap();
+    for (skip, k) in (0u32..).zip(TORN) {
+        for repeat in 0..5 {
+            let case = format!("k={k} repeat {repeat}");
+            let dir = multi_shard_copy(&format!("multi-crash-{k}-{repeat}"));
+            let before = all_files(&dir);
+            let at_or_above = shard_files(&dir, k);
 
-                let fs = Arc::new(FailpointFs::new());
-                fs.arm(point, k);
-                let err = GraficsFleet::recover_with(Arc::clone(&fs) as Arc<dyn WalFs>, &dir)
-                    .unwrap_err()
-                    .to_string();
-                assert!(fs.crashed(), "{case}: the armed crash never fired");
-                assert!(
-                    err.starts_with(&format!("shard {k}: compaction:")),
-                    "{case}: {err}"
-                );
-                for below in 0..k {
-                    assert_eq!(
-                        std::fs::read_to_string(wal_path(&dir, below)).unwrap(),
-                        encode_header(below),
-                        "{case}: shard {below} was not compacted"
-                    );
-                }
-                assert!(
-                    std::fs::read(wal_path(&dir, k)).unwrap() == wal_k,
-                    "{case}: the crashed shard's WAL changed"
-                );
-                assert!(
-                    shard_files(&dir, k + 1) == above,
-                    "{case}: a shard above the crash was written"
-                );
-
-                fs.apply_power_loss(false);
-                let (back, report) = GraficsFleet::recover(&dir).unwrap();
-                assert_eq!(report.next_rng_index, expect.next_rng_index, "{case}");
-                assert_matches_oracle(&back, &case);
-                drop(back);
-                let _ = std::fs::remove_dir_all(&dir);
+            let fs = Arc::new(FailpointFs::new());
+            fs.arm(CrashPoint::MidTruncate, skip);
+            let err = GraficsFleet::recover_with(Arc::clone(&fs) as Arc<dyn WalFs>, &dir)
+                .unwrap_err()
+                .to_string();
+            assert!(fs.crashed(), "{case}: the armed crash never fired");
+            assert!(
+                err.starts_with(&format!("shard {k}: WAL tail repair:")),
+                "{case}: {err}"
+            );
+            for (name, bytes) in &before {
+                let Some(id) = file_shard(name).filter(|&id| id < k) else {
+                    continue;
+                };
+                let now = std::fs::read(dir.join(name)).unwrap();
+                let want = if TORN.contains(&id) && name.ends_with(".jsonl") {
+                    clean_tail(bytes)
+                } else {
+                    bytes
+                };
+                assert!(now == want, "{case}: {name} below the crash");
             }
+            assert!(
+                shard_files(&dir, k) == at_or_above,
+                "{case}: a shard at or above the crash was written"
+            );
+
+            fs.apply_power_loss(false);
+            let (back, report) = GraficsFleet::recover(&dir).unwrap();
+            assert_eq!(report.next_rng_index, expect.next_rng_index, "{case}");
+            assert_matches_oracle(&back, &case);
+            drop(back);
+            let _ = std::fs::remove_dir_all(&dir);
         }
     }
 }
