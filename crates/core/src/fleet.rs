@@ -404,15 +404,7 @@ impl WriteSide {
                 records: queue.iter().copied().collect(),
             })
             .collect();
-        wal::encode_checkpoint(
-            id.0,
-            next_seq,
-            next_rng,
-            self.pending,
-            &absorbed,
-            &by_floor,
-            &self.model,
-        )
+        wal::encode_checkpoint(id.0, next_seq, next_rng, &absorbed, &by_floor, &self.model)
     }
 }
 

@@ -558,8 +558,9 @@ pub struct CheckpointDoc {
     /// The next process-wide absorb attempt index a resumed server must
     /// hand out (so RNG streams are never reused).
     pub next_rng: u64,
-    /// Absorbs pending publish at checkpoint time (always 0 for
-    /// publish-driven checkpoints).
+    /// Absorbs pending publish at checkpoint time. Always written as 0:
+    /// checkpoints are written at a publish, which clears them. Still
+    /// read, for checkpoints that older recoveries wrote.
     pub pending: usize,
     /// The global FIFO retention queue, oldest first.
     pub absorbed: Vec<RecordId>,
@@ -580,18 +581,17 @@ pub fn encode_checkpoint(
     building: u32,
     watermark: u64,
     next_rng: u64,
-    pending: usize,
     absorbed: &[RecordId],
     by_floor: &[FloorBucket],
     model: &crate::Grafics,
 ) -> Result<String, String> {
     let err = |e: serde_json::Error| e.to_string();
-    let absorbed = serde_json::to_string(&absorbed.to_vec()).map_err(err)?;
-    let by_floor = serde_json::to_string(&by_floor.to_vec()).map_err(err)?;
+    let absorbed = serde_json::to_string(absorbed).map_err(err)?;
+    let by_floor = serde_json::to_string(by_floor).map_err(err)?;
     let model = serde_json::to_string(model).map_err(err)?;
     Ok(format!(
         "{{\"version\":1,\"building\":{building},\"watermark\":{watermark},\
-         \"next_rng\":{next_rng},\"pending\":{pending},\"absorbed\":{absorbed},\
+         \"next_rng\":{next_rng},\"pending\":0,\"absorbed\":{absorbed},\
          \"by_floor\":{by_floor},\"model\":{model}}}"
     ))
 }

@@ -61,6 +61,7 @@ fn same(a: &Value, b: &Value) -> bool {
     }
     match (a, b) {
         (Value::F64(x), Value::F64(y)) => x.to_bits() == y.to_bits(),
+        (Value::F32(x), Value::F32(y)) => x.to_bits() == y.to_bits(),
         (Value::Seq(x), Value::Seq(y)) => {
             x.len() == y.len() && x.iter().zip(y).all(|(a, b)| same(a, b))
         }
@@ -381,7 +382,9 @@ proptest! {
 }
 
 /// The compact writer as it was before numbers were formatted in place:
-/// one `format!`/`to_string` allocation per number.
+/// one `format!`/`to_string` allocation per number. An `f32` is its
+/// shortest text, or the widened `f64` where that text reads back as
+/// another `f32`.
 fn reference_compact(v: &Value, out: &mut String) {
     match v {
         Value::Null => out.push_str("null"),
@@ -390,6 +393,17 @@ fn reference_compact(v: &Value, out: &mut String) {
         Value::U64(n) => out.push_str(&n.to_string()),
         Value::F64(f) if f.is_finite() => out.push_str(&format!("{f:?}")),
         Value::F64(_) => out.push_str("null"),
+        // The shortest `f32` text, unless reading it as `f64` and
+        // narrowing misses `f`; then the widened `f64`.
+        Value::F32(f) if f.is_finite() => {
+            let short = format!("{f:?}");
+            if short.parse::<f64>().map(|x| (x as f32).to_bits()) == Ok(f.to_bits()) {
+                out.push_str(&short);
+            } else {
+                out.push_str(&format!("{:?}", f64::from(*f)));
+            }
+        }
+        Value::F32(_) => out.push_str("null"),
         Value::Str(s) => out.push_str(&serde_json::to_string(s).unwrap()),
         Value::Seq(items) => {
             out.push('[');
