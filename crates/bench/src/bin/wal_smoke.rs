@@ -43,11 +43,7 @@ fn run_arm(
     stream: &[(BuildingId, SignalRecord)],
     seed: u64,
 ) -> (u64, f64) {
-    let fleet = if policy.is_off() {
-        GraficsFleet::load_dir(dir).expect("load fleet")
-    } else {
-        GraficsFleet::recover(dir).expect("recover fleet").0
-    };
+    let (fleet, _) = GraficsFleet::recover(dir).expect("recover fleet");
     let mut accepted = 0u64;
     let t = Instant::now();
     for (i, (building, record)) in stream.iter().enumerate() {

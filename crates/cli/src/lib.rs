@@ -39,8 +39,8 @@
 
 use grafics_core::{
     BackendSpec, DurabilityPolicy, Grafics, GraficsConfig, GraficsFleet, MaintenancePolicy,
-    MatchPrecision, OnlineBudget, RecoveryReport, RefreshTrigger, RetentionPolicy, RouterKind,
-    RouterManifest, ServingPolicy,
+    MatchPrecision, OnlineBudget, RefreshTrigger, RetentionPolicy, RouterKind, RouterManifest,
+    ServingPolicy,
 };
 use grafics_data::{io as dio, BuildingModel, FleetPreset};
 use grafics_metrics::ConfusionMatrix;
@@ -135,9 +135,12 @@ a per-shard write-ahead log before it is acknowledged (fsync:N groups N
 appends per fsync; fsync_ms:T fsyncs dirty appends older than T ms), and
 fleet serve --http replays the WAL on startup so acknowledged absorbs
 survive a crash (the replayed tail stays in the log until each shard's
-next publish checkpoints it). fleet recover replays a durable directory
-by hand, then publishes every shard, which checkpoints the replay and
-truncates each log, and prints what each shard recovered. --access-log
+next publish checkpoints it). fleet stat and fleet serve (with --input
+or --http) read every directory in its recovered state: the last
+checkpoint plus the replayed WAL tail, not the model written at train
+time. fleet recover replays a durable directory by hand, then publishes
+every shard, which checkpoints the replay and truncates each log, and
+prints what each shard recovered. --access-log
 PATH appends one JSON line per HTTP request (endpoint, status, latency,
 shard).
 
@@ -790,24 +793,16 @@ fn fleet_serve(args: &[String]) -> Result<String, String> {
 
 /// Blocks serving the fleet over HTTP until SIGINT/SIGTERM drains it.
 ///
-/// A durable directory (manifest `durability` != off) goes through
-/// [`GraficsFleet::recover`] instead of a bare load: the WAL tail is
-/// replayed onto each write side as pending absorbs, each shard serves
-/// its last published checkpoint, and the absorb sequence resumes past
-/// every journalled index. The replayed entries stay in the logs until
-/// each shard's next publish checkpoints them.
+/// The fleet loads through [`GraficsFleet::recover`]: on a durable
+/// directory (manifest `durability` != off) the WAL tail is replayed
+/// onto each write side as pending absorbs, each shard serves its last
+/// published checkpoint, and the absorb sequence resumes past every
+/// journalled index. The replayed entries stay in the logs until each
+/// shard's next publish checkpoints them.
 fn fleet_serve_http(flags: &Flags, models: &str, addr: &str) -> Result<String, String> {
     let workers = resolve_threads(flags.parse_or("workers", 2)?);
     let seed: u64 = flags.parse_or("seed", 0)?;
-    let manifest = grafics_core::read_manifest(models).map_err(|e| e.to_string())?;
-    let (mut fleet, recovery) = if manifest.durability.is_off() {
-        (
-            GraficsFleet::load_dir(models).map_err(|e| e.to_string())?,
-            RecoveryReport::default(),
-        )
-    } else {
-        GraficsFleet::recover(models).map_err(|e| e.to_string())?
-    };
+    let (mut fleet, recovery) = GraficsFleet::recover(models).map_err(|e| e.to_string())?;
     if let Some(policy) = parse_serving_policy(flags)? {
         fleet.set_serving(policy);
     }
@@ -1338,6 +1333,16 @@ mod tests {
         assert_eq!(wal_files().iter().map(|p| entries(p)).sum::<usize>(), 3);
         let msg = run(&s(&["fleet", "recover", "--models", &models])).unwrap();
         assert!(msg.contains("3 absorb(s) replayed"), "{msg}");
+        // `fleet stat` reads the recovered state (the checkpoints holding
+        // the 3 absorbs), not the shard files written at train time.
+        let stat = run(&s(&["fleet", "stat", "--models", &models])).unwrap();
+        let absorbed: usize = stat
+            .lines()
+            .skip(1)
+            .take_while(|line| !line.starts_with("shards:"))
+            .map(|row| row.rsplit(',').next().unwrap().parse::<usize>().unwrap())
+            .sum();
+        assert_eq!(absorbed, 3, "{stat}");
         assert_eq!(wal_files().len(), 2);
         for path in wal_files() {
             assert_eq!(entries(&path), 0, "{}: not header-only", path.display());

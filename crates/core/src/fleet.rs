@@ -12,12 +12,16 @@
 //! Online traffic both *reads* (predict a floor) and *writes* (the graph
 //! absorbs every accepted record, §V-A). A monolithic [`Grafics`] forces
 //! the two through one `&mut` choke point. Each shard instead keeps two
-//! copies of the model:
+//! handles on the model:
 //!
 //! - a **published snapshot** (`Arc<Grafics>`) that serves reads with
 //!   `&self` — any number of threads, no locks held while embedding;
-//! - a **write side** (`Grafics` behind a mutex) that absorbs records and
-//!   applies the shard's [`RetentionPolicy`].
+//! - a **write side** (an `Arc<Grafics>` behind a mutex) that absorbs
+//!   records and applies the shard's [`RetentionPolicy`].
+//!
+//! A new or loaded shard's two handles share one model; the write side
+//! copies it on its first mutation (`Arc::make_mut`), so a shard not yet
+//! written to holds one copy.
 //!
 //! [`Shard::publish`] swaps the snapshot pointer in O(1): readers that
 //! already hold the old `Arc` finish on the epoch they started, new
@@ -52,10 +56,13 @@
 //!
 //! A fleet directory is self-describing: [`GraficsFleet::save_dir`]
 //! writes a `fleet.json` [`FleetManifest`] (router choice, retention
-//! policy, maintenance cadence) next to the `shard-<id>.json` models,
-//! and [`GraficsFleet::load_dir`] restores all three without runtime
-//! flags. Pre-manifest directories load with [`FleetManifest::default`],
-//! which reproduces the old hard-wired behaviour losslessly.
+//! policy, maintenance cadence) next to the `shard-<id>.json` models.
+//! [`GraficsFleet::recover`] is the one loader: it restores all three
+//! without runtime flags, reads each shard's last checkpoint where a
+//! durable fleet wrote one, and replays its WAL tail.
+//! [`GraficsFleet::load_dir`] is the same load without the report.
+//! Pre-manifest directories load with [`FleetManifest::default`], which
+//! reproduces the old hard-wired behaviour losslessly.
 //!
 //! # Unroutable records
 //!
@@ -172,9 +179,10 @@ impl MaintenancePolicy {
 /// The fleet directory manifest (`fleet.json`): everything about a fleet
 /// that is not a shard model — router choice, retention policy, and
 /// maintenance cadence. Written by [`GraficsFleet::save_dir`], read back
-/// by [`GraficsFleet::load_dir`]. Directories written before the manifest
-/// existed (PR-3 era) load losslessly with [`FleetManifest::default`],
-/// which reproduces the old hard-wired behaviour exactly.
+/// by [`GraficsFleet::recover`] (and so by [`GraficsFleet::load_dir`]).
+/// Directories written before the manifest existed (PR-3 era) load
+/// losslessly with [`FleetManifest::default`], which reproduces the old
+/// hard-wired behaviour exactly.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct FleetManifest {
     /// Manifest format version (currently 3).
@@ -289,7 +297,9 @@ pub struct FleetPrediction {
 /// bookkeeping, all guarded by one mutex so absorption is serialised in
 /// call order.
 struct WriteSide {
-    model: Grafics,
+    /// Shared with the published snapshot until the first mutation,
+    /// which copies it (`Arc::make_mut`); read-only uses never copy.
+    model: Arc<Grafics>,
     retention: RetentionPolicy,
     /// Live absorbed records, oldest first (FIFO budget policy).
     absorbed: VecDeque<RecordId>,
@@ -319,7 +329,7 @@ struct ShardWal {
 
 impl WriteSide {
     fn new(
-        model: Grafics,
+        model: Arc<Grafics>,
         retention: RetentionPolicy,
         absorbed: VecDeque<RecordId>,
         by_floor: BTreeMap<FloorId, VecDeque<RecordId>>,
@@ -347,9 +357,8 @@ impl WriteSide {
         record: &SignalRecord,
         rng: &mut R,
     ) -> Result<RecordId, GraficsError> {
-        let rid = self
-            .model
-            .absorb_record_with(record, &mut self.scratch, rng)?;
+        let rid =
+            Arc::make_mut(&mut self.model).absorb_record_with(record, &mut self.scratch, rng)?;
         self.pending += 1;
         self.retain(rid);
         Ok(rid)
@@ -366,7 +375,7 @@ impl WriteSide {
                 self.absorbed.push_back(rid);
                 while self.absorbed.len() > budget {
                     let old = self.absorbed.pop_front().expect("len > budget >= 0");
-                    let _ = self.model.forget_record(old);
+                    let _ = Arc::make_mut(&mut self.model).forget_record(old);
                 }
             }
             RetentionPolicy::PerFloorCap(cap) => {
@@ -380,7 +389,7 @@ impl WriteSide {
                 queue.push_back(rid);
                 while queue.len() > cap {
                     let old = queue.pop_front().expect("len > cap >= 0");
-                    let _ = self.model.forget_record(old);
+                    let _ = Arc::make_mut(&mut self.model).forget_record(old);
                 }
             }
         }
@@ -612,13 +621,20 @@ impl fmt::Display for FleetStats {
 }
 
 impl Shard {
-    /// Creates a shard from a trained model. The snapshot starts as a
-    /// copy of `model`; the write side absorbs under `retention`.
+    /// Creates a shard from a trained model. The snapshot and the write
+    /// side share `model` until the write side first mutates, which
+    /// copies it; the write side absorbs under `retention`.
     #[must_use]
     pub fn new(id: BuildingId, model: Grafics, retention: RetentionPolicy) -> Self {
-        let snapshot = Arc::new(model.clone());
-        let write = WriteSide::new(model, retention, VecDeque::new(), BTreeMap::new(), 0);
-        Shard::from_parts(id, snapshot, write)
+        let model = Arc::new(model);
+        let write = WriteSide::new(
+            Arc::clone(&model),
+            retention,
+            VecDeque::new(),
+            BTreeMap::new(),
+            0,
+        );
+        Shard::from_parts(id, model, write)
     }
 
     /// A shard at epoch 0 publishing `snapshot` over the write side
@@ -794,7 +810,9 @@ impl Shard {
     /// fail fast) but never blocks the in-memory publish.
     pub fn publish(&self) -> u64 {
         let mut guard = self.write.lock();
-        let next = Arc::new(guard.model.clone());
+        // A deep copy, not a shared pointer: sharing would move this
+        // clone into the next absorb's `make_mut`, on a request thread.
+        let next = Arc::new(Grafics::clone(&guard.model));
         guard.pending = 0;
         if let Some(shard_wal) = &guard.wal {
             let checkpoint = guard
@@ -837,7 +855,7 @@ impl Shard {
                 }
                 while w.absorbed.len() > budget {
                     let old = w.absorbed.pop_front().expect("len > budget");
-                    let _ = w.model.forget_record(old);
+                    let _ = Arc::make_mut(&mut w.model).forget_record(old);
                 }
             }
             RetentionPolicy::PerFloorCap(cap) => {
@@ -852,7 +870,7 @@ impl Shard {
                 for (_, q) in w.by_floor.iter_mut() {
                     while q.len() > cap {
                         let old = q.pop_front().expect("len > cap");
-                        let _ = w.model.forget_record(old);
+                        let _ = Arc::make_mut(&mut w.model).forget_record(old);
                     }
                 }
             }
@@ -861,8 +879,10 @@ impl Shard {
 
     /// Runs `f` over the write-side model (e.g. a periodic
     /// [`Grafics::refresh`]), holding the absorb lock for the duration.
+    /// If the published snapshot still shares the model, it is copied
+    /// first, so `f` never changes what readers see.
     pub fn with_write_model<T>(&self, f: impl FnOnce(&mut Grafics) -> T) -> T {
-        f(&mut self.write.lock().model)
+        f(Arc::make_mut(&mut self.write.lock().model))
     }
 
     /// Re-trains the write side over everything absorbed so far
@@ -898,7 +918,7 @@ impl Shard {
                 labels[member] = Some(cluster.floor);
             }
         }
-        guard.model.refresh(&labels, rng)?;
+        Arc::make_mut(&mut guard.model).refresh(&labels, rng)?;
         // A refresh re-draws the cluster geometry, so old margins no
         // longer describe the serving model: restart the window and let
         // the next full window set a fresh baseline. Taken while still
@@ -1637,58 +1657,27 @@ impl GraficsFleet {
         std::fs::write(dir.join(FLEET_MANIFEST_FILE), manifest)?;
         for shard in &self.shards {
             let path = dir.join(format!("shard-{}.json", shard.id().0));
-            shard.with_write_model(|m| m.save_json(&path))?;
+            shard.write.lock().model.save_json(&path)?;
         }
         Ok(())
     }
 
-    /// Loads a fleet from a directory written by
-    /// [`GraficsFleet::save_dir`] (or assembled by `grafics fleet
-    /// train`): router, retention, and maintenance cadence come from the
-    /// `fleet.json` manifest, with no runtime flags needed. A PR-3-era
-    /// directory carrying only `shard-<id>.json` files migrates
-    /// losslessly: it loads with [`FleetManifest::default`], exactly the
-    /// configuration the old loader hard-wired.
-    ///
-    /// Shard files decode on up to `available_parallelism` threads, one
-    /// file per thread at a time; shards are added in id order.
+    /// [`GraficsFleet::recover`] without its report: loads a fleet from
+    /// a directory written by [`GraficsFleet::save_dir`] or by `grafics
+    /// fleet train`, with router, retention, maintenance cadence and
+    /// durability from the `fleet.json` manifest. A `save_dir` directory
+    /// holds no checkpoint and no WAL, so each shard loads its
+    /// `shard-<id>.json` and replays nothing; a durable directory comes
+    /// back in its recovered state. A PR-3-era directory carrying only
+    /// `shard-<id>.json` files migrates losslessly: it loads with
+    /// [`FleetManifest::default`], exactly the configuration the old
+    /// loader hard-wired.
     ///
     /// # Errors
     ///
-    /// IO/serde errors (including a malformed manifest; with several bad
-    /// shard files, the error of the lowest id), or `InvalidData` if
-    /// `dir` holds no shard files.
+    /// As [`GraficsFleet::recover`].
     pub fn load_dir<P: AsRef<Path>>(dir: P) -> std::io::Result<Self> {
-        let dir = dir.as_ref();
-        let manifest = read_manifest(dir)?;
-        let mut fleet = GraficsFleet::with_manifest(manifest);
-        let mut ids: Vec<(u32, std::path::PathBuf)> = Vec::new();
-        for entry in std::fs::read_dir(dir)? {
-            let entry = entry?;
-            let name = entry.file_name();
-            let Some(id) = name
-                .to_str()
-                .and_then(|n| n.strip_prefix("shard-"))
-                .and_then(|n| n.strip_suffix(".json"))
-                .and_then(|n| n.parse::<u32>().ok())
-            else {
-                continue;
-            };
-            ids.push((id, entry.path()));
-        }
-        ids.sort_unstable_by_key(|&(id, _)| id);
-        for (&(id, _), model) in ids.iter().zip(load_models(&ids)) {
-            fleet
-                .add_shard(BuildingId(id), model?)
-                .map_err(|e| std::io::Error::other(e.to_string()))?;
-        }
-        if fleet.is_empty() {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::InvalidData,
-                format!("no shard-<id>.json files under {}", dir.display()),
-            ));
-        }
-        Ok(fleet)
+        GraficsFleet::recover(dir).map(|(fleet, _)| fleet)
     }
 
     /// Crash recovery: loads each shard's last checkpoint (falling back
@@ -1721,12 +1710,14 @@ impl GraficsFleet {
     ///
     /// Shards recover in parallel on the loader pool:
     /// `available_parallelism` threads named `grafics-load-<k>`, started
-    /// by the first recovery in the process and reused by every later
-    /// one, never joined. A pool job only reads files: it decodes one
-    /// shard's checkpoint (or legacy model) and replays its WAL tail.
-    /// This thread takes the results in ascending id order; for each
-    /// shard it copies the models into its own allocations, then repairs
-    /// and re-attaches the WAL. Every [`WalFs`] call therefore happens on
+    /// by the first recovery (or [`GraficsFleet::load_dir`]) in the
+    /// process and reused by every later one, never joined. A pool job
+    /// only reads files: it decodes one shard's checkpoint (or legacy
+    /// model) and replays its WAL tail. This thread takes the results in
+    /// ascending id order; for each shard it copies the model into its
+    /// own allocations (snapshot and write side share that copy unless
+    /// the replay wrote to the write side), then repairs and re-attaches
+    /// the WAL. Every [`WalFs`] call therefore happens on
     /// this thread, in the same order as a one-shard-at-a-time recovery
     /// would issue them. A panic in a job is resumed on this thread.
     ///
@@ -1834,64 +1825,23 @@ impl GraficsFleet {
     }
 }
 
-/// Decodes the model files of `shards` (sorted by id) on up to
-/// `available_parallelism` scoped threads, returning the results in
-/// `shards` order. Each worker reads and decodes one file at a time, so
-/// at most one file's text per worker is in memory at once, and each
-/// model is [`rehome`]d on the calling thread.
-fn load_models(shards: &[(u32, PathBuf)]) -> Vec<std::io::Result<Grafics>> {
-    let workers = std::thread::available_parallelism()
-        .map_or(1, std::num::NonZeroUsize::get)
-        .min(shards.len());
-    // A work counter only: each result reaches this thread through the
-    // channel, so no ordering beyond `Relaxed` is needed.
-    let next = AtomicUsize::new(0);
-    let mut out: Vec<Option<std::io::Result<Grafics>>> = (0..shards.len()).map(|_| None).collect();
-    std::thread::scope(|s| {
-        let (done, results) = std::sync::mpsc::channel();
-        for _ in 0..workers {
-            let done = done.clone();
-            let next = &next;
-            s.spawn(move || loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                let Some((_, path)) = shards.get(i) else {
-                    return;
-                };
-                if done.send((i, Grafics::load_json(path))).is_err() {
-                    return;
-                }
-            });
-        }
-        drop(done);
-        for (i, model) in results {
-            out[i] = Some(model.map(rehome));
-        }
-    });
-    out.into_iter()
-        .map(|model| model.expect("every shard index is claimed by one worker"))
-        .collect()
-}
-
-/// A deep copy of `model` allocated on the calling thread, the worker's
-/// copy dropped. With a per-thread-arena allocator (glibc), memory a
-/// worker allocates stays in that worker's arena. `load_dir`'s scoped
-/// workers are short-lived, and the next load's workers may draw other
-/// arenas, so repeated loads in one process (a second server's cold
-/// start next to a running one) would spread fleets over arenas that are
-/// never trimmed, and peak RSS would grow with each load. The loader
-/// pool's threads persist, but a fleet kept in their arenas would pin
-/// them for the fleet's lifetime; rehomed, the pool's arenas hold only
-/// what its jobs drop, which the next recovery reuses.
-fn rehome(model: Grafics) -> Grafics {
-    model.clone()
+/// A deep copy of `model` allocated on the calling thread; the caller
+/// drops the pool worker's copy. With a per-thread-arena allocator
+/// (glibc), memory a worker allocates stays in that worker's arena. The
+/// loader pool's threads persist, so a fleet kept in their arenas would
+/// pin them for the fleet's lifetime; rehomed, the pool's arenas hold
+/// only what its jobs drop, which the next recovery reuses.
+fn rehome(model: &Grafics) -> Arc<Grafics> {
+    Arc::new(model.clone())
 }
 
 /// One shard's recovery up to its file writes: what a loader-pool job
 /// hands back to [`GraficsFleet::recover_with`]'s calling thread.
 struct RecoveredShard {
     /// The model the shard publishes at epoch 0: the checkpoint (or
-    /// legacy) model as read, before replay.
-    snapshot: Grafics,
+    /// legacy) model as read, before replay. The write side still shares
+    /// it if the replay wrote nothing.
+    snapshot: Arc<Grafics>,
     /// The write side after replay, no WAL attached.
     write: WriteSide,
     report: ShardRecovery,
@@ -1923,16 +1873,18 @@ fn recover_shard(
                 .map(|b| (b.floor, VecDeque::from(b.records)))
                 .collect();
             let absorbed = VecDeque::from(doc.absorbed);
-            let write = WriteSide::new(doc.model, retention, absorbed, by_floor, doc.pending);
+            let model = Arc::new(doc.model);
+            let write = WriteSide::new(model, retention, absorbed, by_floor, doc.pending);
             (write, doc.watermark, doc.next_rng, true)
         }
         None => {
-            let model = Grafics::load_json(dir.join(format!("shard-{id}.json")))?;
+            let model = Arc::new(Grafics::load_json(dir.join(format!("shard-{id}.json")))?);
             let write = WriteSide::new(model, retention, VecDeque::new(), BTreeMap::new(), 0);
             (write, 0, 0, false)
         }
     };
-    let snapshot = write.model.clone();
+    // Shared: the first replayed entry copies the write side's model.
+    let snapshot = Arc::clone(&write.model);
 
     let parsed = wal::read_wal(dir, id);
     let mut expected = watermark;
@@ -1984,10 +1936,10 @@ fn recover_shard(
 }
 
 impl RecoveredShard {
-    /// The calling thread's part: rehome the models and retention
-    /// queues, then, unless `policy` is `Off`, repair the WAL's tail and
-    /// reattach it. Returns the shard, its report line and its next RNG
-    /// index.
+    /// The calling thread's part: rehome the model (both models, if the
+    /// replay un-shared them) and the retention queues, then, unless
+    /// `policy` is `Off`, repair the WAL's tail and reattach it. Returns
+    /// the shard, its report line and its next RNG index.
     fn adopt(
         self,
         fs: &Arc<dyn WalFs>,
@@ -2003,9 +1955,14 @@ impl RecoveredShard {
             repair,
         } = self;
         let id = report.building;
-        let snapshot = Arc::new(rehome(snapshot));
+        let model = rehome(&write.model);
+        let snapshot = if Arc::ptr_eq(&snapshot, &write.model) {
+            Arc::clone(&model)
+        } else {
+            rehome(&snapshot)
+        };
         let mut write = WriteSide::new(
-            rehome(write.model),
+            model,
             write.retention,
             write.absorbed.clone(),
             write.by_floor.clone(),
@@ -2032,8 +1989,9 @@ impl RecoveredShard {
 /// serde derive has no `#[serde(default)]`, so backward compatibility is
 /// explicit, mirroring `Grafics::load_json`'s legacy fallback.
 ///
-/// Public so front ends can decide between [`GraficsFleet::load_dir`]
-/// and [`GraficsFleet::recover`] without loading every shard first.
+/// Public so a caller can read a directory's configuration without
+/// loading any shard; loading needs no choice between loaders, since
+/// [`GraficsFleet::recover`] reads every kind of fleet directory.
 ///
 /// # Errors
 ///
@@ -2210,5 +2168,81 @@ impl RecoveryReport {
     #[must_use]
     pub fn any_torn(&self) -> bool {
         self.shards.iter().any(|s| s.torn)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::GraficsConfig;
+    use grafics_data::BuildingModel;
+    use rand::SeedableRng;
+    use rand_chacha::ChaCha8Rng;
+
+    /// `true` while the shard's snapshot and write side are one model.
+    fn shared(shard: &Shard) -> bool {
+        Arc::ptr_eq(&shard.snapshot(), &shard.write.lock().model)
+    }
+
+    fn all_shared(fleet: &GraficsFleet) -> bool {
+        fleet.shards().iter().all(|s| shared(s))
+    }
+
+    #[test]
+    fn a_shard_shares_its_model_until_the_write_side_mutates() {
+        let mut rng = ChaCha8Rng::seed_from_u64(31);
+        let ds = BuildingModel::office("share-hq", 2)
+            .with_records_per_floor(30)
+            .simulate(&mut rng);
+        let train = ds.with_label_budget(4, &mut rng);
+        let model = Grafics::train(&train, &GraficsConfig::fast(), &mut rng).unwrap();
+        let record = ds.samples()[0].record.clone();
+        let base = std::env::temp_dir().join(format!("grafics-fleet-share-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&base);
+        let (plain, durable) = (base.join("plain"), base.join("durable"));
+
+        let mut fleet = GraficsFleet::new();
+        for id in 0..2 {
+            fleet.add_shard(BuildingId(id), model.clone()).unwrap();
+        }
+        assert!(all_shared(&fleet), "add_shard");
+        let before = fleet.stats();
+        fleet.save_dir(&plain).unwrap();
+        fleet.set_durability(DurabilityPolicy::FsyncEveryN(1));
+        fleet.save_dir(&durable).unwrap();
+        assert_eq!(fleet.stats(), before);
+        assert!(all_shared(&fleet), "stats and save_dir only read");
+
+        // One absorb copies the write side; readers keep the old model.
+        let shard = &fleet.shards()[0];
+        shard.absorb(&record, &mut rng).unwrap();
+        assert!(!shared(shard), "absorb");
+        let after = shard.stats();
+        assert_eq!(after.published_records, before.shards[0].published_records);
+        assert_eq!(after.resident_records, after.published_records + 1);
+        assert!(shared(&fleet.shards()[1]), "the other shard is untouched");
+        shard.publish();
+        assert!(!shared(shard), "publish gives the snapshot its own copy");
+        assert_eq!(shard.stats().published_records, after.resident_records);
+
+        assert!(
+            all_shared(&GraficsFleet::load_dir(&plain).unwrap()),
+            "load_dir"
+        );
+        let (recovered, report) = GraficsFleet::recover(&durable).unwrap();
+        assert_eq!(report.total_replayed(), 0);
+        assert!(all_shared(&recovered), "recover with an empty tail");
+        recovered
+            .absorb_to_durable(BuildingId(1), &record, 5, 0)
+            .unwrap();
+        recovered.drain_wal().unwrap();
+        drop(recovered);
+
+        let (recovered, report) = GraficsFleet::recover(&durable).unwrap();
+        assert_eq!(report.total_replayed(), 1);
+        assert!(shared(&recovered.shards()[0]), "shard 0 replayed nothing");
+        assert!(!shared(&recovered.shards()[1]), "shard 1 replayed a tail");
+        drop(recovered);
+        let _ = std::fs::remove_dir_all(&base);
     }
 }

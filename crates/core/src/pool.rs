@@ -1,8 +1,8 @@
 //! The loader pool: `available_parallelism` worker threads, named
 //! `grafics-load-<k>`, started on first use and never joined, that run
 //! `'static` jobs off the calling thread.
-//! [`GraficsFleet::recover`](crate::GraficsFleet::recover) decodes,
-//! replays and encodes its shards here.
+//! [`GraficsFleet::recover`](crate::GraficsFleet::recover), the one
+//! fleet loader, decodes and replays its shards here.
 //!
 //! The threads persist because of the allocator. With a per-thread-arena
 //! malloc (glibc), each thread allocates from an arena of its own, and

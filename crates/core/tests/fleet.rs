@@ -461,9 +461,9 @@ fn manifest_round_trips_and_pre_manifest_dirs_migrate() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// `load_dir` decodes shard files in parallel but adds them in id order,
-/// and a directory with several bad files fails with the error of the
-/// lowest failing id, as a sequential load would.
+/// `load_dir` decodes shard files in parallel on the loader pool but adds
+/// them in id order, and a directory with several bad files fails with
+/// the error of the lowest failing id, as a sequential load would.
 #[test]
 fn parallel_load_keeps_id_order_and_reports_the_lowest_failing_id() {
     let dir = std::env::temp_dir().join(format!("grafics-fleet-load-{}", std::process::id()));

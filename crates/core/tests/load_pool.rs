@@ -1,9 +1,9 @@
-//! Recovery runs its per-shard work on a loader pool that is started
-//! once per process: recovering and dropping a durable fleet over and
-//! over leaves the process with its baseline threads plus the pool, not
-//! one more thread per call. Its own test binary: the check counts every
-//! thread of the process, so no other test may spawn threads alongside
-//! it.
+//! Every fleet load runs its per-shard work on a loader pool that is
+//! started once per process: loading a plain directory, recovering a
+//! durable one, and dropping the fleet over and over leaves the process
+//! with its baseline threads plus the pool, not one more thread per
+//! call. Its own test binary: the check counts every thread of the
+//! process, so no other test may spawn threads alongside it.
 
 #![cfg(target_os = "linux")]
 
@@ -47,31 +47,45 @@ fn repeated_recoveries_reuse_one_loader_pool() {
     let model = Grafics::train(&train, &GraficsConfig::fast(), &mut rng).unwrap();
     let records: Vec<_> = ds.samples().iter().map(|s| s.record.clone()).collect();
 
-    let dir = std::env::temp_dir().join(format!("grafics-load-pool-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
+    let base = std::env::temp_dir().join(format!("grafics-load-pool-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&base);
+    let (plain, durable) = (base.join("plain"), base.join("durable"));
     let mut fleet = GraficsFleet::new();
     for id in 0..4 {
         fleet.add_shard(BuildingId(id), model.clone()).unwrap();
     }
+    fleet.save_dir(&plain).unwrap();
     fleet.set_durability(DurabilityPolicy::FsyncEveryN(8));
-    fleet.save_dir(&dir).unwrap();
+    fleet.save_dir(&durable).unwrap();
     drop(fleet);
 
     let pool = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
     let baseline = thread_names().len();
-    assert!(
-        !thread_names()
+    let workers = || {
+        thread_names()
             .iter()
-            .any(|n| n.starts_with("grafics-load-")),
-        "the pool starts on the first recovery, not before"
+            .filter(|n| n.starts_with("grafics-load-"))
+            .count()
+    };
+    assert_eq!(
+        workers(),
+        0,
+        "the pool starts on the first load, not before"
     );
+
+    // The first load of the process is a plain `load_dir`, which starts
+    // the pool; every later load, of either kind, reuses it.
     for cycle in 0..30u64 {
-        let (fleet, _) = GraficsFleet::recover(&dir).unwrap();
-        // Leave a WAL tail for the next cycle to replay.
-        let id = BuildingId(u32::try_from(cycle % 4).unwrap());
-        let record = &records[usize::try_from(cycle).unwrap() % records.len()];
-        fleet.absorb_to_durable(id, record, 5, cycle).unwrap();
-        drop(fleet);
+        if cycle % 2 == 0 {
+            let fleet = GraficsFleet::load_dir(&plain).unwrap();
+            assert_eq!(fleet.len(), 4);
+        } else {
+            let (fleet, _) = GraficsFleet::recover(&durable).unwrap();
+            // Leave a WAL tail for the next recovery to replay.
+            let id = BuildingId(u32::try_from(cycle / 2 % 4).unwrap());
+            let record = &records[usize::try_from(cycle).unwrap() % records.len()];
+            fleet.absorb_to_durable(id, record, 5, cycle).unwrap();
+        }
 
         let now = settle_at(baseline + pool);
         assert_eq!(
@@ -80,11 +94,7 @@ fn repeated_recoveries_reuse_one_loader_pool() {
             "cycle {cycle}: {now} threads, want {baseline} + a pool of {pool}: {:?}",
             thread_names()
         );
-        let workers = thread_names()
-            .iter()
-            .filter(|n| n.starts_with("grafics-load-"))
-            .count();
-        assert_eq!(workers, pool, "cycle {cycle}");
+        assert_eq!(workers(), pool, "cycle {cycle}");
     }
-    let _ = std::fs::remove_dir_all(&dir);
+    let _ = std::fs::remove_dir_all(&base);
 }
