@@ -138,10 +138,11 @@ survive a crash (the replayed tail stays in the log until each shard's
 next publish checkpoints it). fleet stat and fleet serve (with --input
 or --http) read every directory in its recovered state: the last
 checkpoint plus the replayed WAL tail, not the model written at train
-time. fleet recover replays a durable directory by hand, then publishes
-every shard, which checkpoints the replay and truncates each log, and
-prints what each shard recovered. --access-log
-PATH appends one JSON line per HTTP request (endpoint, status, latency,
+time; stat and serve --input write nothing, so they can inspect a
+directory a live server journals into. fleet recover replays a durable
+directory by hand, then publishes every shard, which checkpoints the
+replay and truncates each log, and prints what each shard recovered.
+--access-log PATH appends one JSON line per HTTP request (endpoint, status, latency,
 shard).
 
 fleet route starts the model-free router tier over per-building backend
@@ -1286,9 +1287,21 @@ mod tests {
         .unwrap();
         assert!(msg.contains("2 shard models"), "{msg}");
 
-        // The manifest persists the policy…
+        let files = || {
+            let mut files: Vec<(std::path::PathBuf, Vec<u8>)> = std::fs::read_dir(&models)
+                .unwrap()
+                .map(|e| e.unwrap().path())
+                .map(|p| (p.clone(), std::fs::read(&p).unwrap()))
+                .collect();
+            files.sort();
+            files
+        };
+        // The manifest persists the policy, and `fleet stat` only reads:
+        // it opens no WAL of the freshly trained directory.
+        let trained = files();
         let stat = run(&s(&["fleet", "stat", "--models", &models])).unwrap();
         assert!(stat.contains("FsyncEveryN(8)"), "{stat}");
+        assert!(files() == trained, "fleet stat wrote to {models}");
         // …a bad spec is rejected at train time…
         let err = run(&s(&[
             "fleet",
@@ -1331,18 +1344,49 @@ mod tests {
         let entries =
             |path: &std::path::Path| std::fs::read_to_string(path).unwrap().lines().count() - 1;
         assert_eq!(wal_files().iter().map(|p| entries(p)).sum::<usize>(), 3);
+        // Sums one `fleet stat` column (pending or absorbed) over shards.
+        let column = |stat: &str, name: &str| -> usize {
+            let mut rows = stat.lines();
+            let at = rows
+                .next()
+                .unwrap()
+                .split(',')
+                .position(|c| c == name)
+                .unwrap();
+            rows.take_while(|row| !row.starts_with("shards:"))
+                .map(|row| row.split(',').nth(at).unwrap().parse::<usize>().unwrap())
+                .sum()
+        };
+        // A torn last line, as a crash mid-append (or an append still in
+        // flight) leaves it.
+        let wal0 = base.join("models").join("wal-0.jsonl");
+        let mut torn = std::fs::read(&wal0).unwrap();
+        torn.extend_from_slice(b"{\"seq\":");
+        std::fs::write(&wal0, torn).unwrap();
+        // `fleet stat` and `fleet serve --input` read the recovered state:
+        // the 3 journalled absorbs, pending on the write sides. They
+        // leave every file as it was, the torn line included.
+        let before = files();
+        let stat = run(&s(&["fleet", "stat", "--models", &models])).unwrap();
+        assert_eq!(column(&stat, "absorbed"), 3, "{stat}");
+        assert_eq!(column(&stat, "pending"), 3, "{stat}");
+        let csv = run(&s(&[
+            "fleet",
+            "serve",
+            "--models",
+            &models,
+            "--input",
+            &corpus.path().to_string_lossy(),
+        ]))
+        .unwrap();
+        assert!(csv.lines().count() > 1, "{csv}");
+        assert!(files() == before, "a report-only command wrote to {models}");
         let msg = run(&s(&["fleet", "recover", "--models", &models])).unwrap();
         assert!(msg.contains("3 absorb(s) replayed"), "{msg}");
-        // `fleet stat` reads the recovered state (the checkpoints holding
-        // the 3 absorbs), not the shard files written at train time.
+        // After the publish, the checkpoints hold the 3 absorbs.
         let stat = run(&s(&["fleet", "stat", "--models", &models])).unwrap();
-        let absorbed: usize = stat
-            .lines()
-            .skip(1)
-            .take_while(|line| !line.starts_with("shards:"))
-            .map(|row| row.rsplit(',').next().unwrap().parse::<usize>().unwrap())
-            .sum();
-        assert_eq!(absorbed, 3, "{stat}");
+        assert_eq!(column(&stat, "absorbed"), 3, "{stat}");
+        assert_eq!(column(&stat, "pending"), 0, "{stat}");
         assert_eq!(wal_files().len(), 2);
         for path in wal_files() {
             assert_eq!(entries(&path), 0, "{}: not header-only", path.display());

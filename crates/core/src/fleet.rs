@@ -60,7 +60,9 @@
 //! [`GraficsFleet::recover`] is the one loader: it restores all three
 //! without runtime flags, reads each shard's last checkpoint where a
 //! durable fleet wrote one, and replays its WAL tail.
-//! [`GraficsFleet::load_dir`] is the same load without the report.
+//! [`GraficsFleet::load_dir`] is the same load without the report and
+//! without any write: it attaches no WAL, so it can inspect a directory
+//! that a live server journals into.
 //! Pre-manifest directories load with [`FleetManifest::default`], which
 //! reproduces the old hard-wired behaviour losslessly.
 //!
@@ -1662,22 +1664,29 @@ impl GraficsFleet {
         Ok(())
     }
 
-    /// [`GraficsFleet::recover`] without its report: loads a fleet from
-    /// a directory written by [`GraficsFleet::save_dir`] or by `grafics
-    /// fleet train`, with router, retention, maintenance cadence and
-    /// durability from the `fleet.json` manifest. A `save_dir` directory
-    /// holds no checkpoint and no WAL, so each shard loads its
-    /// `shard-<id>.json` and replays nothing; a durable directory comes
-    /// back in its recovered state. A PR-3-era directory carrying only
-    /// `shard-<id>.json` files migrates losslessly: it loads with
-    /// [`FleetManifest::default`], exactly the configuration the old
-    /// loader hard-wired.
+    /// [`GraficsFleet::recover`] without its report and without its
+    /// writes: loads a fleet from a directory written by
+    /// [`GraficsFleet::save_dir`] or by `grafics fleet train`, with
+    /// router, retention, maintenance cadence and durability from the
+    /// `fleet.json` manifest. A `save_dir` directory holds no checkpoint
+    /// and no WAL, so each shard loads its `shard-<id>.json` and replays
+    /// nothing; a durable directory comes back in its recovered state. A
+    /// PR-3-era directory carrying only `shard-<id>.json` files migrates
+    /// losslessly: it loads with [`FleetManifest::default`], exactly the
+    /// configuration the old loader hard-wired.
+    ///
+    /// It only reads files, whatever the manifest's durability: no WAL
+    /// is repaired, created or attached, so a torn final line is left
+    /// out of the replay but stays in its log. A directory a live server
+    /// journals into, or a read-only copy, can be inspected this way;
+    /// absorbs into the loaded fleet are not journalled. To resume
+    /// durable serving, use [`GraficsFleet::recover`].
     ///
     /// # Errors
     ///
     /// As [`GraficsFleet::recover`].
     pub fn load_dir<P: AsRef<Path>>(dir: P) -> std::io::Result<Self> {
-        GraficsFleet::recover(dir).map(|(fleet, _)| fleet)
+        GraficsFleet::load(dir.as_ref(), None).map(|(fleet, _)| fleet)
     }
 
     /// Crash recovery: loads each shard's last checkpoint (falling back
@@ -1746,7 +1755,14 @@ impl GraficsFleet {
         fs: Arc<dyn WalFs>,
         dir: P,
     ) -> std::io::Result<(Self, RecoveryReport)> {
-        let dir = dir.as_ref();
+        GraficsFleet::load(dir.as_ref(), Some(fs))
+    }
+
+    /// The one directory loader. With `wal_fs`, a durable directory's
+    /// WALs are repaired and re-attached through it
+    /// ([`GraficsFleet::recover_with`]); without, nothing is written
+    /// ([`GraficsFleet::load_dir`]).
+    fn load(dir: &Path, wal_fs: Option<Arc<dyn WalFs>>) -> std::io::Result<(Self, RecoveryReport)> {
         let manifest = read_manifest(dir)?;
         let mut fleet = GraficsFleet::with_manifest(manifest);
         let mut report = RecoveryReport::default();
@@ -1798,7 +1814,7 @@ impl GraficsFleet {
         });
         let adopted = pool::run_ordered(jobs).try_for_each(|recovered| {
             let (shard, shard_report, next_rng) =
-                recovered?.adopt(&fs, dir, manifest.durability)?;
+                recovered?.adopt(wal_fs.as_ref(), dir, manifest.durability)?;
             report.next_rng_index = report.next_rng_index.max(next_rng);
             report.shards.push(shard_report);
             fleet.push_shard(Arc::new(shard))
@@ -1937,12 +1953,12 @@ fn recover_shard(
 
 impl RecoveredShard {
     /// The calling thread's part: rehome the model (both models, if the
-    /// replay un-shared them) and the retention queues, then, unless
-    /// `policy` is `Off`, repair the WAL's tail and reattach it. Returns
-    /// the shard, its report line and its next RNG index.
+    /// replay un-shared them) and the retention queues, then, given `fs`
+    /// and unless `policy` is `Off`, repair the WAL's tail and reattach
+    /// it. Returns the shard, its report line and its next RNG index.
     fn adopt(
         self,
-        fs: &Arc<dyn WalFs>,
+        fs: Option<&Arc<dyn WalFs>>,
         dir: &Path,
         policy: DurabilityPolicy,
     ) -> std::io::Result<(Shard, ShardRecovery, u64)> {
@@ -1968,7 +1984,7 @@ impl RecoveredShard {
             write.by_floor.clone(),
             write.pending,
         );
-        if !policy.is_off() {
+        if let Some(fs) = fs.filter(|_| !policy.is_off()) {
             let path = dir.join(wal_file_name(id.0));
             if let Some(Err(e)) = repair.map(|repair| repair.apply(fs.as_ref(), &path)) {
                 return Err(std::io::Error::other(format!(
@@ -2242,7 +2258,13 @@ mod tests {
         assert_eq!(report.total_replayed(), 1);
         assert!(shared(&recovered.shards()[0]), "shard 0 replayed nothing");
         assert!(!shared(&recovered.shards()[1]), "shard 1 replayed a tail");
+        assert!(recovered.shards()[1].write.lock().wal.is_some());
         drop(recovered);
+
+        // `load_dir` replays the same tail but attaches no WAL.
+        let loaded = GraficsFleet::load_dir(&durable).unwrap();
+        assert_eq!(loaded.shards()[1].stats().pending, 1);
+        assert!(loaded.shards().iter().all(|s| s.write.lock().wal.is_none()));
         let _ = std::fs::remove_dir_all(&base);
     }
 }
