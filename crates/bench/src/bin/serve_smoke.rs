@@ -8,7 +8,7 @@
 //! every checkpoint the same query set is served two ways:
 //!
 //! - **incremental** — [`grafics_core::GraficsServer`] over the model's
-//!   incrementally maintained sampler: O(deg + log n) per query;
+//!   incrementally maintained sampler: O(deg) per query;
 //! - **adaptive** — the same engine under the deployment-tunable fast
 //!   policy (adaptive refinement budget stopping on a decisive top-2
 //!   centroid margin, f32 centroid sweep with f64 re-score), with

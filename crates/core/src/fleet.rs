@@ -108,8 +108,7 @@ use std::sync::Arc;
 /// A policy bounds the resident records and their edges. It does not
 /// bound the node-indexed arrays: a forgotten record's node slot is
 /// tombstoned and never reused, so the embedding rows, the sampler's
-/// weights, its Fenwick tree and its alias snapshot grow with the total
-/// number of absorbs.
+/// weights and its alias snapshot grow with the total number of absorbs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum RetentionPolicy {
     /// Absorb forever (the pre-fleet behaviour). Resident records grow

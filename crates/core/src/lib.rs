@@ -43,7 +43,7 @@ use grafics_embed::{
     ElineTrainer, EmbedError, EmbeddingConfig, EmbeddingModel, Objective, OnlineScratch,
 };
 pub use grafics_graph::WeightFunction;
-use grafics_graph::{BipartiteGraph, NegativeSampler, NodeIdx};
+use grafics_graph::{BipartiteGraph, NegativeSampler, NodeIdx, SamplerState};
 use grafics_types::{Dataset, FloorId, RecordId, SignalRecord};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
@@ -291,8 +291,12 @@ impl From<ClusterError> for GraficsError {
 /// [`Shard::publish`].
 ///
 /// The model is `serde`-serialisable; see [`Grafics::save_json`] /
-/// [`Grafics::load_json`] for file persistence.
+/// [`Grafics::load_json`] for file persistence. The graph and the
+/// negative sampler persist only what cannot be derived (see
+/// [`BipartiteGraph`] and [`NegativeSampler`]), so save → load → save
+/// reproduces a model file byte for byte.
 #[derive(Debug, Clone, Serialize, Deserialize)]
+#[serde(try_from = "GraficsFile")]
 pub struct Grafics {
     config: GraficsConfig,
     trainer: ElineTrainer,
@@ -301,11 +305,47 @@ pub struct Grafics {
     clusters: ClusterModel,
     train_records: usize,
     /// The Eq. (10) negative distribution, maintained incrementally in
-    /// O(deg · log n) per graph mutation so no query pays the O(n)
-    /// rebuild. Serialised with the model: its exact floating-point state
-    /// determines the online RNG stream, so a save/load roundtrip keeps
-    /// predictions bit-identical.
+    /// O(deg) per graph mutation so no query pays the O(n) rebuild.
+    /// Serialised with the model: its snapshot determines the online RNG
+    /// stream, so a save/load roundtrip keeps predictions bit-identical.
     neg_sampler: NegativeSampler,
+}
+
+/// A model file as read: [`Grafics`]' fields, with the sampler's
+/// underivable part in place of the sampler.
+#[derive(Deserialize)]
+struct GraficsFile {
+    config: GraficsConfig,
+    trainer: ElineTrainer,
+    graph: BipartiteGraph,
+    embeddings: EmbeddingModel,
+    clusters: ClusterModel,
+    train_records: usize,
+    /// Absent from files written before the serving engine; their
+    /// sampler is built fresh, as training builds it.
+    neg_sampler: Option<SamplerState>,
+}
+
+impl TryFrom<GraficsFile> for Grafics {
+    type Error = grafics_graph::GraphError;
+
+    fn try_from(file: GraficsFile) -> Result<Self, Self::Error> {
+        let neg_sampler = match file.neg_sampler {
+            Some(state) => NegativeSampler::restore(&file.graph, state)?,
+            None => {
+                NegativeSampler::from_graph(&file.graph, file.trainer.config().negative_exponent)
+            }
+        };
+        Ok(Grafics {
+            config: file.config,
+            trainer: file.trainer,
+            graph: file.graph,
+            embeddings: file.embeddings,
+            clusters: file.clusters,
+            train_records: file.train_records,
+            neg_sampler,
+        })
+    }
 }
 
 impl Grafics {
@@ -506,7 +546,7 @@ impl Grafics {
         // frozen background graph) — the same distribution the read-only
         // [`GraficsServer`] sees, keeping both paths bit-identical per
         // seed. Only then absorb the new node and its degree changes into
-        // the sampler, in O(deg · log n), for subsequent queries.
+        // the sampler, in O(deg), for subsequent queries.
         let embedded = self.trainer.embed_new_node_with(
             &self.graph,
             &mut self.embeddings,
@@ -565,7 +605,7 @@ impl Grafics {
 
     /// Removes a previously inserted record from the graph (e.g. expiring
     /// inference-time records to bound memory). The negative sampler is
-    /// resynced only for the touched nodes (O(deg · log n)).
+    /// resynced only for the touched nodes (O(deg)).
     ///
     /// # Errors
     ///
@@ -585,7 +625,7 @@ impl Grafics {
     /// graph (§III-A "installation and removal of APs"). Existing clusters
     /// are unaffected — record embeddings stay put — but future online
     /// inferences no longer connect through the removed AP. The negative
-    /// sampler is resynced only for the touched nodes (O(deg · log n)).
+    /// sampler is resynced only for the touched nodes (O(deg)).
     ///
     /// # Errors
     ///
@@ -618,45 +658,18 @@ impl Grafics {
 
     /// Loads a model previously written by [`Grafics::save_json`].
     ///
-    /// Model files written before the serving engine carry no
-    /// `neg_sampler` field; they are migrated transparently — the sampler
-    /// is fully derivable from the graph, so the rebuild is lossless
-    /// (only the RNG draw stream of subsequent online inference differs
-    /// from a natively saved sampler state).
+    /// Every earlier model-file form loads through the same path: files
+    /// written before the serving engine carry no `neg_sampler` field and
+    /// get a freshly built one, and fields that are derived now are
+    /// skipped and rebuilt.
     ///
     /// # Errors
     ///
-    /// Returns the underlying IO/serde error as `std::io::Error`.
+    /// Returns the underlying IO/serde error as `std::io::Error`; a file
+    /// whose graph or sampler parts disagree is a deserialization error.
     pub fn load_json<P: AsRef<std::path::Path>>(path: P) -> std::io::Result<Self> {
         let json = std::fs::read_to_string(path)?;
-        match serde_json::from_str(&json) {
-            Ok(model) => Ok(model),
-            Err(current_err) => {
-                // Pre-serving-engine format: everything but the sampler.
-                #[derive(Deserialize)]
-                struct GraficsV1 {
-                    config: GraficsConfig,
-                    trainer: ElineTrainer,
-                    graph: BipartiteGraph,
-                    embeddings: EmbeddingModel,
-                    clusters: ClusterModel,
-                    train_records: usize,
-                }
-                let v1: GraficsV1 =
-                    serde_json::from_str(&json).map_err(|_| std::io::Error::other(current_err))?;
-                let neg_sampler =
-                    NegativeSampler::from_graph(&v1.graph, v1.trainer.config().negative_exponent);
-                Ok(Grafics {
-                    config: v1.config,
-                    trainer: v1.trainer,
-                    graph: v1.graph,
-                    embeddings: v1.embeddings,
-                    clusters: v1.clusters,
-                    train_records: v1.train_records,
-                    neg_sampler,
-                })
-            }
-        }
+        serde_json::from_str(&json).map_err(std::io::Error::other)
     }
 
     /// Batch refresh (§V-A discusses keeping online inference cheap by

@@ -191,7 +191,7 @@ impl<M: Deref<Target = Grafics>> GraficsServer<M> {
     /// Predicts the floor of one record against the frozen model: the
     /// record is embedded in session-local scratch (graph, embeddings,
     /// clusters, and sampler are only read) and matched to the nearest
-    /// cluster centroid. Amortised O(deg · log n) per query.
+    /// cluster centroid. Amortised O(deg) per query.
     ///
     /// # Errors
     ///

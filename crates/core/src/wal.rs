@@ -35,6 +35,10 @@
 //! never disagree; entries below the watermark are skipped on replay,
 //! which makes the post-checkpoint WAL truncation non-critical — a crash
 //! between checkpoint and truncate merely leaves dead entries behind.
+//! The model inside a checkpoint is in the model file's form: only state
+//! that cannot be derived (see [`crate::Grafics`]), so re-encoding a
+//! loaded checkpoint reproduces its bytes, and older checkpoints that
+//! stored derived state load through the same path.
 //!
 //! # Group commit
 //!

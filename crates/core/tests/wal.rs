@@ -4,10 +4,10 @@
 //! prefix — never a corrupted or divergent model.
 //!
 //! "Bit-identical" is checked two ways, mirroring the fleet suite's
-//! sampler-parity machinery: the full write-side model compared as a
-//! `serde_json::Value` (key-order-insensitive, so the graph's MAC lookup
-//! map cannot produce false negatives), and the incrementally-synced
-//! `NegativeSampler` weights against a from-scratch rebuild.
+//! sampler-parity machinery: the full write-side model compared as its
+//! persisted bytes plus every in-memory neighbor list (order and weight
+//! bits), and the incrementally-synced `NegativeSampler` weights against
+//! a from-scratch rebuild.
 
 use grafics_core::wal::ALL_CRASH_POINTS;
 use grafics_core::{
@@ -20,7 +20,6 @@ use proptest::prelude::*;
 use proptest::Strategy;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use serde_json::JsonValue;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -63,43 +62,48 @@ fn durable_dir(name: &str, policy: DurabilityPolicy) -> PathBuf {
     dir
 }
 
-/// The shard's write-side model as a canonical JSON value. The graph's
-/// MAC lookup is a `HashMap`, so raw serialization order is unstable;
-/// sorting every object's keys recursively makes equality exact without
-/// being order-sensitive.
-fn write_value(fleet: &GraficsFleet) -> JsonValue {
+/// A model as recovery checks compare it: its persisted bytes, which
+/// save → load → save reproduces exactly, plus every node's in-memory
+/// neighbor list, in order, with its weight bits — the MAC side's
+/// weights are derived at load rather than persisted.
+#[derive(Debug, Clone, PartialEq)]
+struct ModelState {
+    json: String,
+    neighbors: Vec<Vec<(u32, u64)>>,
+}
+
+/// The shard's write-side model state.
+fn write_value(fleet: &GraficsFleet) -> ModelState {
     shard_value(fleet, B0)
 }
 
 /// [`write_value`] for any shard.
-fn shard_value(fleet: &GraficsFleet, id: BuildingId) -> JsonValue {
+fn shard_value(fleet: &GraficsFleet, id: BuildingId) -> ModelState {
     fleet
         .shard(id)
         .unwrap()
         .with_write_model(|m| model_value(m))
 }
 
-/// A model as a canonical JSON value.
-fn model_value(model: &Grafics) -> JsonValue {
-    let mut v = serde_json::value_of(model);
-    canonicalize(&mut v);
-    v
-}
-
-fn canonicalize(v: &mut JsonValue) {
-    match v {
-        JsonValue::Seq(items) => items.iter_mut().for_each(canonicalize),
-        JsonValue::Map(entries) => {
-            entries.iter_mut().for_each(|(_, v)| canonicalize(v));
-            entries.sort_by(|a, b| a.0.cmp(&b.0));
-        }
-        _ => {}
+fn model_value(model: &Grafics) -> ModelState {
+    let graph = model.graph();
+    ModelState {
+        json: serde_json::to_string(model).unwrap(),
+        neighbors: (0..graph.node_capacity())
+            .map(|i| {
+                graph
+                    .neighbors(grafics_graph::NodeIdx(u32::try_from(i).unwrap()))
+                    .iter()
+                    .map(|&(n, w)| (n.0, w.to_bits()))
+                    .collect()
+            })
+            .collect(),
     }
 }
 
 /// The never-crashed reference: a fresh fleet absorbing each `(record
 /// index, rng index)` pair on the same deterministic streams.
-fn oracle_value(absorbed: &[(usize, u64)]) -> JsonValue {
+fn oracle_value(absorbed: &[(usize, u64)]) -> ModelState {
     let (model, records) = fixture();
     let mut fleet = GraficsFleet::new();
     fleet.add_shard(B0, model.clone()).unwrap();
@@ -504,11 +508,11 @@ fn interleaved_shard(t: u64) -> u32 {
 /// give.
 struct MultiShard {
     dir: PathBuf,
-    /// Per shard: the never-crashed write side, canonicalized.
-    oracle: Vec<JsonValue>,
+    /// Per shard: the never-crashed write side.
+    oracle: Vec<ModelState>,
     /// Per shard: the model it publishes after recovery (its checkpoint
-    /// or legacy model, before replay), canonicalized.
-    snapshot: Vec<JsonValue>,
+    /// or legacy model, before replay).
+    snapshot: Vec<ModelState>,
     /// The report recovery must produce.
     report: Vec<ShardRecovery>,
     next_rng_index: u64,

@@ -14,7 +14,7 @@
 //!   threads concurrently.
 //!
 //! Per query the routine touches O(deg) neighbor rows and draws negatives
-//! in O(log n) from the incrementally maintained [`NegativeSampler`] —
+//! in O(1) from the incrementally maintained [`NegativeSampler`] —
 //! replacing the historical per-query O(n) rebuild (`d_z^{3/4}` sweep plus
 //! alias-table construction) that dominated serving cost on large graphs.
 //! The hot loop reuses the scratch buffers across calls and performs no

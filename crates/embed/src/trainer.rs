@@ -179,7 +179,7 @@ impl ElineTrainer {
     /// whole graph (O(n)) per call. Serving-path callers should hold an
     /// incrementally synced sampler and reusable [`crate::OnlineScratch`]
     /// and call [`ElineTrainer::embed_new_node_with`] instead, which
-    /// costs O(deg · log n) per query.
+    /// costs O(deg) per query.
     ///
     /// # Errors
     ///

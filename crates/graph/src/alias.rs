@@ -85,6 +85,16 @@ impl AliasTable {
         self.prob.is_empty()
     }
 
+    /// `true` if the table is usable over a space of `slots` outcomes:
+    /// non-empty, at most `slots` long, with every alias inside itself.
+    /// Checks a table read from a file before it serves a draw.
+    pub(crate) fn fits(&self, slots: usize) -> bool {
+        !self.prob.is_empty()
+            && self.prob.len() <= slots
+            && self.alias.len() == self.prob.len()
+            && self.alias.iter().all(|&a| (a as usize) < self.prob.len())
+    }
+
     /// Draws one index in O(1).
     pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> usize {
         let i = rng.gen_range(0..self.prob.len());

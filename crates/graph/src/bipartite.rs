@@ -2,7 +2,7 @@
 
 use crate::WeightFunction;
 use grafics_types::{Dataset, MacAddr, RecordId, SignalRecord};
-use serde::{Deserialize, Serialize};
+use serde::{DeError, Deserialize, Reader, Serialize, Value};
 use std::collections::HashMap;
 use std::fmt;
 
@@ -57,6 +57,9 @@ pub enum GraphError {
     UnknownRecord(RecordId),
     /// The referenced MAC does not exist or was removed.
     UnknownMac(MacAddr),
+    /// A persisted graph or sampler whose parts disagree (a corrupt or
+    /// hand-edited file); the message names the first disagreement.
+    InvalidFile(String),
 }
 
 impl fmt::Display for GraphError {
@@ -64,6 +67,7 @@ impl fmt::Display for GraphError {
         match self {
             GraphError::UnknownRecord(r) => write!(f, "unknown or removed record {r}"),
             GraphError::UnknownMac(m) => write!(f, "unknown or removed MAC {m}"),
+            GraphError::InvalidFile(msg) => write!(f, "inconsistent graph file: {msg}"),
         }
     }
 }
@@ -76,7 +80,23 @@ impl std::error::Error for GraphError {}
 /// O(degree) of the touched nodes. Node indices are stable for the lifetime
 /// of the graph (tombstoned on removal, never reused), so embedding
 /// matrices indexed by [`NodeIdx`] stay valid as the graph grows.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+///
+/// # Persisted form
+///
+/// Serialization keeps only what cannot be derived: the weight function,
+/// `kinds`, `removed`, `weighted_degree` (after removals its float
+/// accumulation order cannot be replayed from a fresh sum) and, under
+/// `links`, each node's neighbor list in its current order — `[id,
+/// weight]` pairs on the record side, bare ids on the MAC side. The order
+/// of a MAC's list is the `swap_remove` order removals left behind, which
+/// [`BipartiteGraph::neighbors`] exposes, so it is kept as is. Loading
+/// rebuilds the MAC lookup, the record-id table, the edge count and each
+/// MAC-side weight (from the matching record-side entry), and rejects a
+/// file whose parts disagree with [`GraphError::InvalidFile`]. Files
+/// written before `links` (every list weighted, under `adj`) load through
+/// the same path; their extra fields are skipped and re-derived.
+#[derive(Debug, Clone, Deserialize)]
+#[serde(try_from = "GraphFile")]
 pub struct BipartiteGraph {
     weight_fn: WeightFunction,
     kinds: Vec<NodeKind>,
@@ -392,6 +412,208 @@ impl BipartiteGraph {
     }
 }
 
+impl Serialize for BipartiteGraph {
+    fn to_value(&self) -> Value {
+        let links = self
+            .adj
+            .iter()
+            .zip(&self.kinds)
+            .map(|(list, kind)| match kind {
+                NodeKind::Record(_) => list.to_value(),
+                NodeKind::Mac(_) => Value::Seq(list.iter().map(|(n, _)| n.to_value()).collect()),
+            })
+            .collect();
+        Value::Map(vec![
+            ("weight_fn".to_owned(), self.weight_fn.to_value()),
+            ("kinds".to_owned(), self.kinds.to_value()),
+            ("links".to_owned(), Value::Seq(links)),
+            (
+                "weighted_degree".to_owned(),
+                self.weighted_degree.to_value(),
+            ),
+            ("removed".to_owned(), self.removed.to_value()),
+        ])
+    }
+}
+
+/// The persisted form of a [`BipartiteGraph`] (see its docs), as read.
+#[derive(Deserialize)]
+struct GraphFile {
+    weight_fn: WeightFunction,
+    kinds: Vec<NodeKind>,
+    links: Option<Vec<Links>>,
+    /// The adjacency of files written before `links`: every list
+    /// weighted, the MAC side's weights re-derived like `links`'.
+    adj: Option<Vec<Links>>,
+    weighted_degree: Vec<f64>,
+    removed: Vec<bool>,
+}
+
+/// One persisted neighbor list. An element is `[id, weight]` or a bare
+/// `id`; a bare id reads with a NaN weight, which the record side
+/// rejects and the MAC side overwrites.
+struct Links(Vec<(NodeIdx, f64)>);
+
+impl Deserialize for Links {
+    fn from_value(value: &Value) -> Result<Self, DeError> {
+        let items = value
+            .as_seq()
+            .ok_or_else(|| DeError::expected("array", "links"))?;
+        items
+            .iter()
+            .map(|item| match item {
+                Value::Seq(_) => Deserialize::from_value(item),
+                _ => Ok((NodeIdx::from_value(item)?, f64::NAN)),
+            })
+            .collect::<Result<_, _>>()
+            .map(Links)
+    }
+
+    fn read(r: &mut Reader<'_>) -> Result<Self, DeError> {
+        let mut out = Vec::new();
+        let mut more = r.begin_seq("links")?;
+        while more {
+            out.push(if r.peek() == Some(b'[') {
+                Deserialize::read(r)?
+            } else {
+                (NodeIdx::read(r)?, f64::NAN)
+            });
+            more = r.next_element()?;
+        }
+        Ok(Links(out))
+    }
+}
+
+impl TryFrom<GraphFile> for BipartiteGraph {
+    type Error = GraphError;
+
+    /// Checks the persisted parts against each other and rebuilds the
+    /// derived ones; see the [`BipartiteGraph`] docs.
+    fn try_from(file: GraphFile) -> Result<Self, GraphError> {
+        let invalid = |msg: String| Err(GraphError::InvalidFile(msg));
+        let GraphFile {
+            weight_fn,
+            kinds,
+            links,
+            adj,
+            weighted_degree,
+            removed,
+        } = file;
+        let Some(links) = links.or(adj) else {
+            return invalid("no adjacency (`links`)".to_owned());
+        };
+        let n = kinds.len();
+        if u32::try_from(n).is_err()
+            || links.len() != n
+            || weighted_degree.len() != n
+            || removed.len() != n
+        {
+            return invalid(format!(
+                "{n} kinds but {} adjacency lists, {} weighted degrees, {} removed flags",
+                links.len(),
+                weighted_degree.len(),
+                removed.len()
+            ));
+        }
+        let mut adj: Vec<Vec<(NodeIdx, f64)>> = links.into_iter().map(|l| l.0).collect();
+        let is_live_mac = |m: NodeIdx| {
+            m.index() < n && matches!(kinds[m.index()], NodeKind::Mac(_)) && !removed[m.index()]
+        };
+
+        // Record side: weighted lists, plus the lookups derived from kinds.
+        // `gathered[m + 1]` counts the record-side edges of MAC node `m`.
+        let mut mac_lookup = HashMap::new();
+        let mut record_nodes = Vec::new();
+        let mut gathered = vec![0usize; n + 1];
+        for (i, kind) in kinds.iter().enumerate() {
+            let node = NodeIdx(i as u32);
+            if removed[i] && !adj[i].is_empty() {
+                return invalid(format!("removed node {node} keeps neighbors"));
+            }
+            match *kind {
+                NodeKind::Mac(mac) => {
+                    if !removed[i] && mac_lookup.insert(mac, node).is_some() {
+                        return invalid(format!("two live nodes hold MAC {mac}"));
+                    }
+                }
+                NodeKind::Record(rid) => {
+                    if rid.index() != record_nodes.len() {
+                        return invalid(format!("node {node} holds {rid} out of sequence"));
+                    }
+                    record_nodes.push((!removed[i]).then_some(node));
+                    for &(m, w) in &adj[i] {
+                        if !is_live_mac(m) {
+                            return invalid(format!("record node {node} links {m}, no live MAC"));
+                        }
+                        if !(w.is_finite() && w > 0.0) {
+                            return invalid(format!("edge {node}-{m} has weight {w}"));
+                        }
+                        gathered[m.index() + 1] += 1;
+                    }
+                }
+            }
+        }
+
+        // MAC side: ids in their persisted order, each weight taken from
+        // the record side. The record-side edges are gathered per MAC
+        // (ascending records, `by_mac[gathered[m]..gathered[m + 1]]`);
+        // a MAC's list must name exactly its gathered records, each once,
+        // matched through `weight_of`, a per-node slot that is NaN when
+        // empty (no record-side weight is NaN).
+        for i in 0..n {
+            gathered[i + 1] += gathered[i];
+        }
+        let edge_count = gathered[n];
+        let mut by_mac = vec![(NodeIdx(0), 0.0); edge_count];
+        let mut next = gathered.clone();
+        for (i, kind) in kinds.iter().enumerate() {
+            if matches!(kind, NodeKind::Record(_)) {
+                for &(m, w) in &adj[i] {
+                    by_mac[next[m.index()]] = (NodeIdx(i as u32), w);
+                    next[m.index()] += 1;
+                }
+            }
+        }
+        let mut weight_of = vec![f64::NAN; n];
+        for (i, kind) in kinds.iter().enumerate() {
+            if !matches!(kind, NodeKind::Mac(_)) {
+                continue;
+            }
+            let edges = &by_mac[gathered[i]..gathered[i + 1]];
+            if adj[i].len() != edges.len() {
+                return invalid(format!(
+                    "MAC node n{i} lists {} records, the record side {}",
+                    adj[i].len(),
+                    edges.len()
+                ));
+            }
+            for &(v, w) in edges {
+                weight_of[v.index()] = w;
+            }
+            for (v, w) in &mut adj[i] {
+                match weight_of.get_mut(v.index()).filter(|slot| !slot.is_nan()) {
+                    Some(slot) => *w = std::mem::replace(slot, f64::NAN),
+                    None => {
+                        return invalid(format!(
+                            "MAC node n{i} links {v}, no matching record entry"
+                        ))
+                    }
+                }
+            }
+        }
+        Ok(BipartiteGraph {
+            weight_fn,
+            kinds,
+            adj,
+            weighted_degree,
+            removed,
+            mac_lookup,
+            record_nodes,
+            edge_count,
+        })
+    }
+}
+
 /// Structural statistics of a bipartite graph.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct GraphStats {
@@ -567,16 +789,200 @@ mod tests {
         assert_eq!(st.edges, 2);
     }
 
-    #[test]
-    fn serde_roundtrip() {
-        let g = paper_example();
-        let json = serde_json::to_string(&g).unwrap();
-        let back: BipartiteGraph = serde_json::from_str(&json).unwrap();
-        assert_eq!(back.record_count(), 2);
-        assert_eq!(back.edge_count(), 4);
+    /// The paper example after a removal history that leaves MAC lists
+    /// out of insertion order, a tombstoned record and a tombstoned AP.
+    fn churned() -> BipartiteGraph {
+        let mut g = paper_example();
+        g.add_record(&rec(&[(2, -50.0), (4, -64.0)]));
+        g.add_record(&rec(&[(1, -75.0), (2, -58.0), (4, -80.0)]));
+        g.remove_record(RecordId(0)).unwrap(); // swap_remove reorders MAC 2
+        g.remove_mac(MacAddr::from_u64(3)).unwrap();
+        g.add_record(&rec(&[(3, -61.0), (4, -66.0)])); // MAC 3 again, new node
+        g
+    }
+
+    fn assert_same_graph(a: &BipartiteGraph, b: &BipartiteGraph) {
+        assert_eq!(a.node_capacity(), b.node_capacity());
+        for i in 0..a.node_capacity() {
+            let node = NodeIdx(i as u32);
+            assert_eq!(a.kind(node), b.kind(node));
+            assert_eq!(a.is_removed(node), b.is_removed(node));
+            assert_eq!(a.neighbors(node), b.neighbors(node), "{node}");
+            assert_eq!(
+                a.weighted_degree(node).to_bits(),
+                b.weighted_degree(node).to_bits()
+            );
+            if let NodeKind::Mac(mac) = a.kind(node) {
+                assert_eq!(a.mac_node(mac), b.mac_node(mac));
+            }
+        }
         assert_eq!(
-            back.mac_node(MacAddr::from_u64(2)),
-            g.mac_node(MacAddr::from_u64(2))
+            a.record_ids().collect::<Vec<_>>(),
+            b.record_ids().collect::<Vec<_>>()
         );
+        assert_eq!(a.edge_count(), b.edge_count());
+        assert_eq!(a.mac_count(), b.mac_count());
+        assert_eq!(a.stats(), b.stats());
+    }
+
+    #[test]
+    fn persisted_form_roundtrips_byte_identically() {
+        for g in [paper_example(), churned()] {
+            let json = serde_json::to_string(&g).unwrap();
+            assert!(json.contains("\"links\":") && !json.contains("\"adj\":"));
+            let back: BipartiteGraph = serde_json::from_str(&json).unwrap();
+            assert_same_graph(&back, &g);
+            assert_eq!(serde_json::to_string(&back).unwrap(), json);
+            // The value path reads the same graph as the one-pass reader.
+            let value = serde_json::value_of(&g);
+            assert_same_graph(&BipartiteGraph::from_value(&value).unwrap(), &g);
+        }
+    }
+
+    /// `g` in the form written before `links`: every list weighted under
+    /// `adj`, plus the fields that are derived now.
+    fn old_form(g: &BipartiteGraph) -> Value {
+        let Value::Map(mut entries) = serde_json::value_of(g) else {
+            unreachable!()
+        };
+        entries.retain(|(k, _)| k != "links");
+        entries.insert(2, ("adj".to_owned(), g.adj.to_value()));
+        entries.push(("mac_lookup".to_owned(), g.mac_lookup.to_value()));
+        entries.push(("record_nodes".to_owned(), g.record_nodes.to_value()));
+        entries.push(("edge_count".to_owned(), g.edge_count.to_value()));
+        Value::Map(entries)
+    }
+
+    #[test]
+    fn old_weighted_form_loads_and_rederives_mac_weights() {
+        let g = churned();
+        let old = serde_json::to_string(&old_form(&g)).unwrap();
+        let back: BipartiteGraph = serde_json::from_str(&old).unwrap();
+        assert_same_graph(&back, &g);
+        assert_eq!(
+            serde_json::to_string(&back).unwrap(),
+            serde_json::to_string(&g).unwrap()
+        );
+    }
+
+    /// `g`'s persisted form with `edit` applied to its entries.
+    fn edited(g: &BipartiteGraph, edit: impl FnOnce(&mut Vec<(String, Value)>)) -> String {
+        let Value::Map(mut entries) = serde_json::value_of(g) else {
+            unreachable!()
+        };
+        edit(&mut entries);
+        serde_json::to_string(&Value::Map(entries)).unwrap()
+    }
+
+    fn field<'a>(entries: &'a mut [(String, Value)], key: &str) -> &'a mut Vec<Value> {
+        match entries.iter_mut().find(|(k, _)| k == key) {
+            Some((_, Value::Seq(items))) => items,
+            _ => panic!("no array {key}"),
+        }
+    }
+
+    fn list(entries: &mut [(String, Value)], node: NodeIdx) -> &mut Vec<Value> {
+        match &mut field(entries, "links")[node.index()] {
+            Value::Seq(items) => items,
+            _ => panic!("links of {node} not an array"),
+        }
+    }
+
+    #[test]
+    fn inconsistent_files_are_typed_errors() {
+        let g = churned();
+        let mac2 = g.mac_node(MacAddr::from_u64(2)).unwrap();
+        let mac4 = g.mac_node(MacAddr::from_u64(4)).unwrap();
+        let v1 = g.record_node(RecordId(1)).unwrap();
+        let old_mac3 = NodeIdx(4);
+        assert!(g.is_removed(old_mac3));
+        let cap = g.node_capacity() as u64;
+        let cases: Vec<(&str, String)> = vec![
+            (
+                "out-of-range MAC-side id",
+                edited(&g, |e| {
+                    list(e, mac2)[0] = Value::U64(cap);
+                }),
+            ),
+            (
+                "out-of-range record-side id",
+                edited(&g, |e| {
+                    list(e, v1)[0] = Value::Seq(vec![Value::U64(cap + 7), Value::F64(50.0)]);
+                }),
+            ),
+            (
+                "MAC-side id with no record entry",
+                edited(&g, |e| {
+                    list(e, mac4).push(Value::U64(u64::from(v1.0)));
+                }),
+            ),
+            (
+                "record entry with no MAC-side id",
+                edited(&g, |e| {
+                    list(e, mac2).pop();
+                }),
+            ),
+            (
+                "MAC-side id listed twice",
+                edited(&g, |e| {
+                    let first = list(e, mac2)[0].clone();
+                    list(e, mac2).pop();
+                    list(e, mac2).push(first);
+                }),
+            ),
+            (
+                "MAC-side id naming a MAC",
+                edited(&g, |e| {
+                    list(e, mac2)[0] = Value::U64(u64::from(mac4.0));
+                }),
+            ),
+            (
+                "record side with a bare id",
+                edited(&g, |e| {
+                    list(e, v1)[0] = Value::U64(u64::from(mac2.0));
+                }),
+            ),
+            (
+                "two live nodes with one MAC",
+                edited(&g, |e| {
+                    field(e, "removed")[old_mac3.index()] = Value::Bool(false);
+                }),
+            ),
+            (
+                "kinds shorter than links",
+                edited(&g, |e| {
+                    field(e, "kinds").pop();
+                }),
+            ),
+            (
+                "removed shorter than links",
+                edited(&g, |e| {
+                    field(e, "removed").pop();
+                }),
+            ),
+            (
+                "weighted degrees longer than links",
+                edited(&g, |e| {
+                    field(e, "weighted_degree").push(Value::F64(1.0));
+                }),
+            ),
+            (
+                "removed node with neighbors",
+                edited(&g, |e| {
+                    field(e, "removed")[mac4.index()] = Value::Bool(true);
+                }),
+            ),
+            (
+                "no adjacency",
+                edited(&g, |e| e.retain(|(k, _)| k != "links")),
+            ),
+        ];
+        for (what, text) in cases {
+            let err = serde_json::from_str::<BipartiteGraph>(&text).unwrap_err();
+            assert!(
+                err.to_string().contains("inconsistent graph file"),
+                "{what}: {err}"
+            );
+        }
     }
 }

@@ -39,5 +39,5 @@ mod weight;
 
 pub use alias::AliasTable;
 pub use bipartite::{BipartiteGraph, EdgeRef, GraphError, GraphStats, NodeIdx, NodeKind};
-pub use dynamic::{DynamicWeightedSampler, NegativeSampler};
+pub use dynamic::{NegativeSampler, SamplerState};
 pub use weight::WeightFunction;
