@@ -12,6 +12,7 @@ use crate::state::FleetState;
 use grafics_core::{FleetError, FleetPrediction, RouterKind, WeightFunction};
 use grafics_types::{BuildingId, SignalRecord};
 use serde::{Deserialize, Serialize};
+use std::fmt::Write;
 
 /// One served prediction on the wire.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -361,72 +362,75 @@ fn healthz(state: &FleetState, out: &mut String) -> u16 {
     )
 }
 
+/// The Prometheus text exposition both `/metrics` endpoints (this
+/// server's and the router's) write through, so the format and its
+/// escaping live in one place.
+pub(crate) struct Exposition<'a>(pub(crate) &'a mut String);
+
+impl Exposition<'_> {
+    /// One unlabelled counter: its `# TYPE` line and its one sample.
+    pub(crate) fn counter(&mut self, name: &str, value: impl std::fmt::Display) {
+        self.family(name, "counter");
+        self.sample(name, &[], value);
+    }
+
+    /// One unlabelled gauge: its `# TYPE` line and its one sample.
+    pub(crate) fn gauge(&mut self, name: &str, value: impl std::fmt::Display) {
+        self.family(name, "gauge");
+        self.sample(name, &[], value);
+    }
+
+    /// The `# TYPE` line heading a family of labelled samples.
+    pub(crate) fn family(&mut self, name: &str, kind: &str) {
+        let _ = writeln!(self.0, "# TYPE {name} {kind}");
+    }
+
+    /// One sample line. Label values are escaped as the format requires
+    /// (`\`, `"` and newline), so an operator-chosen name such as a
+    /// backend's cannot break the line or forge another series.
+    pub(crate) fn sample(
+        &mut self,
+        name: &str,
+        labels: &[(&str, &dyn std::fmt::Display)],
+        value: impl std::fmt::Display,
+    ) {
+        self.0.push_str(name);
+        for (i, (label, label_value)) in labels.iter().enumerate() {
+            let open = if i == 0 { '{' } else { ',' };
+            let escaped = label_value.to_string().replace('\\', "\\\\");
+            let escaped = escaped.replace('"', "\\\"").replace('\n', "\\n");
+            let _ = write!(self.0, "{open}{label}=\"{escaped}\"");
+        }
+        if !labels.is_empty() {
+            self.0.push('}');
+        }
+        let _ = writeln!(self.0, " {value}");
+    }
+}
+
 /// `GET /metrics`: the Prometheus-style plaintext exposition of the
 /// serving counters, sharing [`FleetStats`](grafics_core::FleetStats)
 /// with `/v1/stat` and `grafics fleet stat` — requests served, absorbs,
 /// publish epochs, per-endpoint request counters, and per-shard gauges.
 fn metrics(state: &FleetState, out: &mut String) -> u16 {
-    use std::fmt::Write as _;
     let stats = state.fleet().stats();
-    let w = |out: &mut String, name: &str, kind: &str, value: &dyn std::fmt::Display| {
-        let _ = writeln!(out, "# TYPE {name} {kind}\n{name} {value}");
-    };
-    w(
-        out,
-        "grafics_requests_total",
-        "counter",
-        &state.request_count(),
-    );
-    w(
-        out,
-        "grafics_absorbs_total",
-        "counter",
-        &state.absorb_count(),
-    );
-    w(
-        out,
-        "grafics_publish_epochs_total",
-        "counter",
-        &stats.total_epochs(),
-    );
-    w(out, "grafics_uptime_seconds", "gauge", &state.uptime_secs());
-    w(out, "grafics_shards", "gauge", &stats.shards.len());
-    w(
-        out,
-        "grafics_resident_records",
-        "gauge",
-        &stats.total_resident_records(),
-    );
-    w(
-        out,
-        "grafics_pending_absorbs",
-        "gauge",
-        &stats.total_pending(),
-    );
+    let mut m = Exposition(out);
+    m.counter("grafics_requests_total", state.request_count());
+    m.counter("grafics_absorbs_total", state.absorb_count());
+    m.counter("grafics_publish_epochs_total", stats.total_epochs());
+    m.gauge("grafics_uptime_seconds", state.uptime_secs());
+    m.gauge("grafics_shards", stats.shards.len());
+    m.gauge("grafics_resident_records", stats.total_resident_records());
+    m.gauge("grafics_pending_absorbs", stats.total_pending());
     let wal = state.fleet().wal_stats();
-    w(out, "grafics_wal_appends_total", "counter", &wal.appends);
-    w(out, "grafics_wal_fsyncs_total", "counter", &wal.fsyncs);
-    w(out, "grafics_wal_tail_bytes", "gauge", &wal.tail_bytes);
+    m.counter("grafics_wal_appends_total", wal.appends);
+    m.counter("grafics_wal_fsyncs_total", wal.fsyncs);
+    m.gauge("grafics_wal_tail_bytes", wal.tail_bytes);
     // Serving-path refinement counters (adaptive budget + f32 matching).
     let serve = state.fleet().serve_counters();
-    w(
-        out,
-        "grafics_serve_refine_samples_total",
-        "counter",
-        &serve.refine_samples,
-    );
-    w(
-        out,
-        "grafics_serve_early_stops_total",
-        "counter",
-        &serve.early_stops,
-    );
-    w(
-        out,
-        "grafics_match_f32_fallbacks_total",
-        "counter",
-        &serve.f32_fallbacks,
-    );
+    m.counter("grafics_serve_refine_samples_total", serve.refine_samples);
+    m.counter("grafics_serve_early_stops_total", serve.early_stops);
+    m.counter("grafics_match_f32_fallbacks_total", serve.f32_fallbacks);
     // Floor-margin drift gauges: low quantiles of the recently served
     // margin distribution, the signal behind `RefreshTrigger::MarginDrop`.
     // Window follows the configured trigger (default 256). Exported as 0
@@ -437,24 +441,19 @@ fn metrics(state: &FleetState, out: &mut String) -> u16 {
         .effective_trigger()
         .map_or(grafics_core::DEFAULT_MARGIN_WINDOW, |t| t.window());
     let (margin_p10, margin_p50) = state.fleet().margin_quantiles(window).unwrap_or((0.0, 0.0));
-    w(out, "grafics_margin_p10", "gauge", &margin_p10);
-    w(out, "grafics_margin_p50", "gauge", &margin_p50);
-    w(
-        out,
-        "grafics_recoveries_total",
-        "counter",
-        &state.recovery_count(),
-    );
-    let _ = writeln!(out, "# TYPE grafics_requests counter");
+    m.gauge("grafics_margin_p10", margin_p10);
+    m.gauge("grafics_margin_p50", margin_p50);
+    m.counter("grafics_recoveries_total", state.recovery_count());
+    m.family("grafics_requests", "counter");
     for (endpoint, count) in state.endpoints().snapshot() {
-        let _ = writeln!(out, "grafics_requests{{endpoint=\"{endpoint}\"}} {count}");
+        m.sample("grafics_requests", &[("endpoint", &endpoint)], count);
     }
-    let _ = writeln!(out, "# TYPE grafics_shard_records gauge");
+    m.family("grafics_shard_records", "gauge");
     for shard in &stats.shards {
-        let _ = writeln!(
-            out,
-            "grafics_shard_records{{building=\"{}\"}} {}",
-            shard.building, shard.resident_records
+        m.sample(
+            "grafics_shard_records",
+            &[("building", &shard.building)],
+            shard.resident_records,
         );
     }
     200

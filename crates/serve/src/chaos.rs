@@ -15,8 +15,9 @@
 //!
 //! Std-only, like the rest of the crate: threads + blocking sockets.
 
+use crate::http::{self, Limits, Request};
 use std::collections::VecDeque;
-use std::io::{Read, Write};
+use std::io::{BufReader, BufWriter, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -275,39 +276,24 @@ fn truncate(client: TcpStream, target: SocketAddr, n: usize) {
     let _ = up.join();
 }
 
-/// Consumes one request (head + `Content-Length` body), answers a
+/// Consumes one request through the crate's HTTP reader, answers a
 /// well-framed 503, and closes. The backend is never contacted.
-fn burst_5xx(mut client: TcpStream) {
+fn burst_5xx(client: TcpStream) {
     let _ = client.set_read_timeout(Some(Duration::from_secs(5)));
-    let mut head = Vec::new();
-    let mut byte = [0u8; 1];
-    while !head.ends_with(b"\r\n\r\n") && head.len() < 64 * 1024 {
-        match client.read(&mut byte) {
-            Ok(1) => head.push(byte[0]),
-            _ => return,
-        }
-    }
-    let content_length = std::str::from_utf8(&head)
-        .ok()
-        .and_then(|h| {
-            h.lines().find_map(|l| {
-                let (name, value) = l.split_once(':')?;
-                name.trim()
-                    .eq_ignore_ascii_case("content-length")
-                    .then(|| value.trim().parse::<usize>().ok())?
-            })
-        })
-        .unwrap_or(0);
-    let mut body = vec![0u8; content_length];
-    if client.read_exact(&mut body).is_err() {
-        return;
-    }
-    let body = "{\"error\":\"chaos: injected 503 burst\"}";
-    let _ = write!(
-        client,
-        "HTTP/1.1 503 Service Unavailable\r\nContent-Type: application/json\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
-        body.len(),
+    let limits = Limits {
+        max_head_bytes: 64 * 1024,
+        max_body_bytes: 8 << 20,
+    };
+    let mut writer = BufWriter::new(&client);
+    let read = http::read_request_into(
+        &mut BufReader::new(&client),
+        &mut writer,
+        &limits,
+        &mut Request::new(),
     );
-    let _ = client.flush();
+    if let Ok(true) = read {
+        let body = "{\"error\":\"chaos: injected 503 burst\"}";
+        let _ = http::write_response(&mut writer, 503, body, false);
+    }
     let _ = client.shutdown(std::net::Shutdown::Both);
 }

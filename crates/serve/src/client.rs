@@ -1,18 +1,33 @@
 //! A minimal blocking HTTP/1.1 client over one keep-alive connection —
-//! enough to drive the server from tests, the `http_smoke`/`wal_smoke`
-//! benchmarks, and operator scripts without any external dependency. Not
+//! enough to drive the server from tests, the router's backend calls,
+//! benchmarks and operator scripts without any external dependency. Not
 //! a general client: no redirects, no TLS, no chunked responses (the
 //! server never sends them).
+//!
+//! Responses are read by the crate's one HTTP reader,
+//! [`http::read_response`], under the fixed [`http::RESPONSE_LIMITS`]
+//! (8 KiB of head, 8 MiB of body), so no backend answer can abort or
+//! exhaust the process. Each request is formatted into a `BufWriter` and
+//! leaves in one write when it fits the buffer, as the server writes its
+//! responses. After a `Connection: close` response, or any failed
+//! request, the next request opens a fresh connection instead of writing
+//! to a socket the server is closing; that reconnect is not a retry.
 //!
 //! The client is hardened for flaky links: every socket carries read
 //! *and* write timeouts, and **idempotent** requests (`GET` anything,
 //! `POST /v1/infer*`, `/v1/stat`, `/healthz`, `/metrics`) that die on a
 //! transport error are retried over a fresh connection with exponential
-//! backoff plus jitter. `/v1/absorb` and `/v1/publish` are **never**
-//! retried — a response lost after the server processed the request
-//! would make a blind resend absorb the record twice.
+//! backoff plus jitter. The io error kind tells a transport error from
+//! a bad answer: EOF before the first response byte is
+//! `ConnectionAborted`, a response torn after it is `UnexpectedEof`, a
+//! timeout stays a timeout, and a malformed, over-limit or chunked
+//! response is `InvalidData`, which is never retried. `/v1/absorb` and
+//! `/v1/publish` are **never** retried — a response lost after the
+//! server processed the request would make a blind resend absorb the
+//! record twice.
 
-use std::io::{BufRead, BufReader, Read, Write};
+use crate::http;
+use std::io::{BufReader, BufWriter, Write};
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::time::{Duration, SystemTime};
 
@@ -20,7 +35,10 @@ use std::time::{Duration, SystemTime};
 /// reconnect-and-retry on idempotent requests.
 pub struct HttpClient {
     reader: BufReader<TcpStream>,
-    writer: TcpStream,
+    writer: BufWriter<TcpStream>,
+    /// The connection must not carry another request: the last response
+    /// said `Connection: close`, or the last request failed.
+    closed: bool,
     addr: SocketAddr,
     read_timeout: Duration,
     write_timeout: Duration,
@@ -53,10 +71,11 @@ impl HttpClient {
         })?;
         let read_timeout = Duration::from_secs(30);
         let write_timeout = Duration::from_secs(10);
-        let stream = Self::open(addr, read_timeout, write_timeout)?;
+        let (reader, writer) = Self::open(addr, read_timeout, write_timeout)?;
         Ok(HttpClient {
-            reader: BufReader::new(stream.try_clone()?),
-            writer: stream,
+            reader,
+            writer,
+            closed: false,
             addr,
             read_timeout,
             write_timeout,
@@ -82,8 +101,8 @@ impl HttpClient {
     pub fn set_timeouts(&mut self, read: Duration, write: Duration) -> std::io::Result<()> {
         self.read_timeout = read;
         self.write_timeout = write;
-        self.writer.set_read_timeout(Some(read))?;
-        self.writer.set_write_timeout(Some(write))
+        self.writer.get_ref().set_read_timeout(Some(read))?;
+        self.writer.get_ref().set_write_timeout(Some(write))
     }
 
     /// Adjusts the retry policy for idempotent requests: up to
@@ -105,19 +124,12 @@ impl HttpClient {
         addr: SocketAddr,
         read_timeout: Duration,
         write_timeout: Duration,
-    ) -> std::io::Result<TcpStream> {
+    ) -> std::io::Result<(BufReader<TcpStream>, BufWriter<TcpStream>)> {
         let stream = TcpStream::connect(addr)?;
         stream.set_nodelay(true)?;
         stream.set_read_timeout(Some(read_timeout))?;
         stream.set_write_timeout(Some(write_timeout))?;
-        Ok(stream)
-    }
-
-    fn reconnect(&mut self) -> std::io::Result<()> {
-        let stream = Self::open(self.addr, self.read_timeout, self.write_timeout)?;
-        self.reader = BufReader::new(stream.try_clone()?);
-        self.writer = stream;
-        Ok(())
+        Ok((BufReader::new(stream.try_clone()?), BufWriter::new(stream)))
     }
 
     /// `true` if a transport failure may be blindly resent: the request
@@ -180,12 +192,12 @@ impl HttpClient {
                     if attempt >= retries {
                         return Err(e);
                     }
+                    // The failed request left the connection closed, so
+                    // the resend reconnects first; a dead reconnect target
+                    // still counts down the attempts.
                     std::thread::sleep(self.backoff(attempt));
                     attempt += 1;
                     self.retries_performed += 1;
-                    // A dead reconnect target still counts down the
-                    // attempts; keep trying until the budget runs out.
-                    let _ = self.reconnect();
                 }
             }
         }
@@ -197,6 +209,16 @@ impl HttpClient {
         path: &str,
         body: Option<&str>,
     ) -> std::io::Result<(u16, String)> {
+        if self.closed {
+            let (reader, writer) = Self::open(self.addr, self.read_timeout, self.write_timeout)?;
+            self.reader = reader;
+            // `into_parts` drops what a failed write left buffered instead
+            // of flushing it onto the old socket.
+            let _ = std::mem::replace(&mut self.writer, writer).into_parts();
+        }
+        // Until a whole keep-alive response is read, the connection is in
+        // an unknown state and must not carry the next request.
+        self.closed = true;
         let body = body.unwrap_or("");
         write!(
             self.writer,
@@ -206,9 +228,21 @@ impl HttpClient {
         if let Some(token) = &self.auth_token {
             write!(self.writer, "Authorization: Bearer {token}\r\n")?;
         }
-        write!(self.writer, "\r\n{body}")?;
+        self.writer.write_all(b"\r\n")?;
+        self.writer.write_all(body.as_bytes())?;
         self.writer.flush()?;
-        self.read_response()
+        let Some(resp) = http::read_response(&mut self.reader, &http::RESPONSE_LIMITS)? else {
+            // Clean EOF before a status line: the server closed the
+            // keep-alive connection (idle timeout, drain). Retryable.
+            return Err(std::io::Error::new(
+                std::io::ErrorKind::ConnectionAborted,
+                "connection closed before response",
+            ));
+        };
+        self.closed = !resp.keep_alive;
+        let body = String::from_utf8(resp.body)
+            .map_err(|_| std::io::Error::new(std::io::ErrorKind::InvalidData, "body not UTF-8"))?;
+        Ok((resp.status, body))
     }
 
     /// Convenience: `POST` with a JSON body.
@@ -227,71 +261,5 @@ impl HttpClient {
     /// Same as [`HttpClient::request`].
     pub fn get(&mut self, path: &str) -> std::io::Result<(u16, String)> {
         self.request("GET", path, None)
-    }
-
-    fn read_response(&mut self) -> std::io::Result<(u16, String)> {
-        let malformed =
-            |m: &str| std::io::Error::new(std::io::ErrorKind::InvalidData, m.to_owned());
-        let mut line = String::new();
-        if self.reader.read_line(&mut line)? == 0 {
-            // Clean EOF before a status line: the server closed the
-            // keep-alive connection (idle timeout, drain). Retryable.
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::ConnectionAborted,
-                "connection closed before response",
-            ));
-        }
-        if !line.ends_with('\n') {
-            // Bytes arrived but the line never terminated: the response
-            // was torn mid-status-line. Without this check a tear after
-            // `HTTP/1.1 200` would parse as a bodyless 200 — a phantom
-            // ack for a write whose outcome is actually unknown.
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::UnexpectedEof,
-                "response torn mid-status-line",
-            ));
-        }
-        // Skip any interim 1xx responses (the server sends 100 Continue
-        // only when asked; tolerate it anyway).
-        loop {
-            let status: u16 = line
-                .split(' ')
-                .nth(1)
-                .and_then(|s| s.parse().ok())
-                .ok_or_else(|| malformed(&format!("bad status line {line:?}")))?;
-            let mut content_length = 0usize;
-            loop {
-                let mut header = String::new();
-                if self.reader.read_line(&mut header)? == 0 || !header.ends_with('\n') {
-                    // EOF inside the header block is a tear, not an
-                    // end-of-headers: the blank separator line never came.
-                    return Err(std::io::Error::new(
-                        std::io::ErrorKind::UnexpectedEof,
-                        "response torn mid-headers",
-                    ));
-                }
-                let header = header.trim_end();
-                if header.is_empty() {
-                    break;
-                }
-                if let Some((name, value)) = header.split_once(':') {
-                    if name.trim().eq_ignore_ascii_case("content-length") {
-                        content_length = value
-                            .trim()
-                            .parse()
-                            .map_err(|_| malformed("bad content-length"))?;
-                    }
-                }
-            }
-            if (100..200).contains(&status) {
-                line.clear();
-                self.reader.read_line(&mut line)?;
-                continue;
-            }
-            let mut body = vec![0u8; content_length];
-            self.reader.read_exact(&mut body)?;
-            let body = String::from_utf8(body).map_err(|_| malformed("body not UTF-8"))?;
-            return Ok((status, body));
-        }
     }
 }

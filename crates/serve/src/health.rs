@@ -18,9 +18,14 @@
 //!
 //! A probe transition to Up resets the breaker: active evidence of
 //! liveness outranks stale hot-path failures.
+//!
+//! A probe ([`probe_healthz`]) reads the backend's whole answer with the
+//! crate's one HTTP reader under [`http::RESPONSE_LIMITS`], like every
+//! other backend answer the router reads, and classifies it by status.
 
+use crate::http;
 use grafics_types::{BackendState, BreakerPolicy, HealthPolicy};
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -294,35 +299,28 @@ impl BackendStatus {
 }
 
 /// One active `/healthz` probe over a fresh connection: connect with a
-/// timeout, send the request, classify the status line. Std-only and
-/// allocation-light — this runs every probe interval for every backend.
+/// timeout, send the request, and read the whole answer with
+/// [`http::read_response`]. A `200` is healthy and a `503` alive but not
+/// ready; anything else — no answer, a torn, malformed or over-limit
+/// one, another status — fails the probe. This runs every probe interval
+/// for every backend.
 #[must_use]
 pub fn probe_healthz(addr: SocketAddr, timeout: Duration) -> ProbeOutcome {
-    let Ok(stream) = TcpStream::connect_timeout(&addr, timeout) else {
+    let Ok(mut stream) = TcpStream::connect_timeout(&addr, timeout) else {
         return ProbeOutcome::Failed;
     };
     if stream.set_read_timeout(Some(timeout)).is_err()
         || stream.set_write_timeout(Some(timeout)).is_err()
+        || stream
+            .write_all(b"GET /healthz HTTP/1.1\r\nHost: grafics\r\nConnection: close\r\n\r\n")
+            .is_err()
     {
         return ProbeOutcome::Failed;
     }
-    let mut writer = stream;
-    if writer
-        .write_all(b"GET /healthz HTTP/1.1\r\nHost: grafics\r\nConnection: close\r\n\r\n")
-        .is_err()
-    {
-        return ProbeOutcome::Failed;
-    }
-    let Ok(reader) = writer.try_clone() else {
-        return ProbeOutcome::Failed;
-    };
-    let mut line = String::new();
-    if BufReader::new(reader).read_line(&mut line).is_err() {
-        return ProbeOutcome::Failed;
-    }
-    match line.split(' ').nth(1).and_then(|s| s.parse::<u16>().ok()) {
-        Some(200) => ProbeOutcome::Healthy,
-        Some(503) => ProbeOutcome::DegradedAlive,
+    let answer = http::read_response(&mut BufReader::new(&stream), &http::RESPONSE_LIMITS);
+    match answer.map(|resp| resp.map(|r| r.status)) {
+        Ok(Some(200)) => ProbeOutcome::Healthy,
+        Ok(Some(503)) => ProbeOutcome::DegradedAlive,
         _ => ProbeOutcome::Failed,
     }
 }

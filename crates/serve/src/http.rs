@@ -1,24 +1,39 @@
-//! A minimal HTTP/1.1 layer over blocking std TCP: request parsing with
-//! hard size limits, keep-alive bookkeeping, `Expect: 100-continue`, and
-//! response writing. Deliberately tiny — the API surface is six JSON
-//! endpoints served by a worker pool, not a general web framework — and
-//! std-only, because this build environment vendors every dependency.
-//!
-//! Unsupported on purpose: chunked transfer encoding (501), HTTP/2,
-//! TLS (terminate upstream), multipart. Oversized heads and bodies are
-//! rejected with 431/413 *before* any allocation proportional to the
-//! claimed size beyond the limit.
+//! The one HTTP/1.1 reader of this crate, for both directions, and the
+//! response writer, over blocking std I/O. The server reads requests with
+//! [`read_request_into`] under the limits of [`crate::ServeConfig`] or
+//! [`crate::RouterConfig`]; [`crate::HttpClient`] (every router → backend
+//! call) and the router's health probe read responses with
+//! [`read_response`] under the fixed [`RESPONSE_LIMITS`]. Both share one
+//! head reader and one header loop, so both hold the same bounds: the
+//! head is read a line at a time and never past `max_head_bytes` (431),
+//! a `Content-Length` over `max_body_bytes` is refused before anything
+//! of that size is allocated (413), and `Transfer-Encoding` is refused
+//! (501). Std-only and deliberately tiny — a few JSON endpoints, not a
+//! web framework. Unsupported on purpose: chunked transfer encoding,
+//! HTTP/2, TLS (terminate upstream), multipart.
 
-use std::io::{BufRead, ErrorKind, Write};
+use std::io::{BufRead, ErrorKind, Read, Write};
 
-/// Parsing limits, from [`crate::ServeConfig`].
+/// Parsing limits: from [`crate::ServeConfig`] for requests,
+/// [`RESPONSE_LIMITS`] for responses.
 #[derive(Debug, Clone, Copy)]
 pub struct Limits {
-    /// Maximum bytes of request line + headers.
+    /// Maximum bytes of start line + headers.
     pub max_head_bytes: usize,
-    /// Maximum bytes of request body (`Content-Length`).
+    /// Maximum bytes of body (`Content-Length`).
     pub max_body_bytes: usize,
 }
+
+/// The limits every response is read under. The largest response
+/// measured is a `/v1/route_table`: 216,078 bytes for one backend's 32
+/// buildings in the `serve-http` benchmark, so about 430 KB for 64. The
+/// body limit is the router's own request-body limit, 8 MiB, which holds
+/// a table of over a thousand such buildings; response heads are under
+/// 200 bytes.
+pub const RESPONSE_LIMITS: Limits = Limits {
+    max_head_bytes: 8 * 1024,
+    max_body_bytes: 8 << 20,
+};
 
 /// One parsed HTTP request. Designed for reuse: a worker keeps one
 /// `Request` per connection and refills it via [`read_request_into`],
@@ -50,34 +65,61 @@ impl Request {
     }
 }
 
-/// Why a request could not be parsed.
+/// One parsed HTTP response, from [`read_response`].
 #[derive(Debug)]
-pub enum RequestError {
-    /// The peer closed (or timed out) mid-request — nothing to answer.
-    Closed,
-    /// Request line + headers exceed [`Limits::max_head_bytes`].
+pub struct Response {
+    /// The final status code (interim `1xx` responses are skipped).
+    pub status: u16,
+    /// The response body (empty if no `Content-Length`).
+    pub body: Vec<u8>,
+    /// Whether the server keeps the connection open after this response
+    /// (`false` after `Connection: close` or an HTTP/1.0 answer).
+    pub keep_alive: bool,
+}
+
+/// Why a request or response could not be read.
+#[derive(Debug)]
+pub enum HttpError {
+    /// The peer closed, failed or timed out mid-message — nothing to
+    /// answer. Holds the io error: `UnexpectedEof` for a message torn by
+    /// EOF, the socket's own error (a timeout, a reset) otherwise.
+    Closed(std::io::Error),
+    /// Start line + headers exceed [`Limits::max_head_bytes`].
     HeadTooLarge,
     /// `Content-Length` exceeds [`Limits::max_body_bytes`].
     BodyTooLarge(usize),
-    /// Syntactically invalid request.
+    /// Syntactically invalid message.
     Malformed(String),
     /// Syntactically valid but unsupported (e.g. chunked encoding).
     Unsupported(String),
 }
 
-impl RequestError {
-    /// The `(status, message)` to answer with, or `None` when the
-    /// connection is already gone.
+impl HttpError {
+    /// The `(status, message)` to answer a bad request with, or `None`
+    /// when the connection is already gone.
     #[must_use]
     pub fn response(&self) -> Option<(u16, String)> {
         match self {
-            RequestError::Closed => None,
-            RequestError::HeadTooLarge => Some((431, "request head too large".to_owned())),
-            RequestError::BodyTooLarge(limit) => {
+            HttpError::Closed(_) => None,
+            HttpError::HeadTooLarge => Some((431, "request head too large".to_owned())),
+            HttpError::BodyTooLarge(limit) => {
                 Some((413, format!("request body exceeds the {limit}-byte limit")))
             }
-            RequestError::Malformed(m) => Some((400, format!("malformed request: {m}"))),
-            RequestError::Unsupported(m) => Some((501, format!("unsupported: {m}"))),
+            HttpError::Malformed(m) => Some((400, format!("malformed request: {m}"))),
+            HttpError::Unsupported(m) => Some((501, format!("unsupported: {m}"))),
+        }
+    }
+}
+
+impl From<HttpError> for std::io::Error {
+    /// [`HttpError::Closed`] gives back its io error. Every other variant
+    /// is a message that arrived whole enough to judge but cannot be
+    /// used, and becomes `InvalidData`, which [`crate::HttpClient`] never
+    /// retries: resending cannot fix it.
+    fn from(e: HttpError) -> Self {
+        match e {
+            HttpError::Closed(e) => e,
+            other => std::io::Error::new(ErrorKind::InvalidData, format!("{other:?}")),
         }
     }
 }
@@ -85,9 +127,10 @@ impl RequestError {
 /// Reads one request off a keep-alive connection into caller-owned
 /// buffers: `req`'s head, method, path, and body are cleared and refilled,
 /// so a keep-alive connection parses every request into the same
-/// allocations. `Ok(false)` means the peer closed (or went idle past the
-/// read timeout) *between* requests — a clean end of the connection,
-/// nothing to answer.
+/// allocations. `Ok(false)` means the peer closed the connection
+/// *between* requests — a clean end of the connection, nothing to answer.
+/// An idle connection that reaches its read timeout ends with
+/// [`HttpError::Closed`], also with nothing to answer.
 ///
 /// `writer` is needed for the interim `100 Continue` response: clients
 /// like `curl` pause before sending larger bodies until the server waves
@@ -95,154 +138,209 @@ impl RequestError {
 ///
 /// # Errors
 ///
-/// See [`RequestError`]; [`RequestError::response`] maps each variant to
-/// the status to answer with.
+/// See [`HttpError`]; [`HttpError::response`] maps each variant to the
+/// status to answer with.
 pub fn read_request_into<R: BufRead, W: Write>(
     reader: &mut R,
     writer: &mut W,
     limits: &Limits,
     req: &mut Request,
-) -> Result<bool, RequestError> {
+) -> Result<bool, HttpError> {
     let mut head = std::mem::take(&mut req.head);
-    if !read_head(reader, limits.max_head_bytes, &mut head)? {
-        req.head = head;
-        return Ok(false);
-    }
-    let result = parse_into(&head, reader, writer, limits, req);
+    let result = match read_head(reader, limits.max_head_bytes, &mut head) {
+        Ok(true) => parse_request(&head, reader, writer, limits, req).map(|()| true),
+        other => other,
+    };
     req.head = head;
-    result.map(|()| true)
+    result
 }
 
-/// Parses one raw head (+ streams the body) into `req`'s reused fields.
-fn parse_into<R: BufRead, W: Write>(
+/// Parses one raw request head (+ reads the body) into `req`'s reused
+/// fields.
+fn parse_request<R: BufRead, W: Write>(
     head: &[u8],
     reader: &mut R,
     writer: &mut W,
     limits: &Limits,
     req: &mut Request,
-) -> Result<(), RequestError> {
-    let head = std::str::from_utf8(head)
-        .map_err(|_| RequestError::Malformed("head is not UTF-8".to_owned()))?;
-    let mut lines = head.split("\r\n");
+) -> Result<(), HttpError> {
+    let mut lines = head_lines(head)?;
     let request_line = lines.next().unwrap_or_default();
     let mut parts = request_line.split(' ');
-    let (Some(method), Some(path), Some(version)) = (parts.next(), parts.next(), parts.next())
+    let (Some(method), Some(path), Some(version), None) =
+        (parts.next(), parts.next(), parts.next(), parts.next())
     else {
-        return Err(RequestError::Malformed(format!(
+        return Err(HttpError::Malformed(format!(
             "bad request line {request_line:?}"
         )));
     };
-    if parts.next().is_some() {
-        return Err(RequestError::Malformed(format!(
-            "bad request line {request_line:?}"
-        )));
-    }
-    let http11 = match version {
-        "HTTP/1.1" => true,
-        "HTTP/1.0" => false,
-        other => {
-            return Err(RequestError::Unsupported(format!("version {other:?}")));
-        }
-    };
-
-    let mut content_length = 0usize;
-    let mut keep_alive = http11;
-    let mut expect_continue = false;
     req.authorization.clear();
+    let framing = parse_headers(lines, version, limits, Some(&mut req.authorization))?;
+    if framing.expect_continue && framing.content_length > 0 {
+        let _ = writer.write_all(b"HTTP/1.1 100 Continue\r\n\r\n");
+        let _ = writer.flush();
+    }
+    read_body(reader, framing.content_length, &mut req.body)?;
+    req.method.clear();
+    req.method.push_str(method);
+    req.path.clear();
+    req.path.push_str(path);
+    req.keep_alive = framing.keep_alive;
+    Ok(())
+}
+
+/// Reads one response, skipping interim `1xx` responses. `Ok(None)`
+/// means the peer closed the connection before the first byte: the
+/// request may never have been seen.
+///
+/// # Errors
+///
+/// See [`HttpError`]. A response torn after its first byte is
+/// [`HttpError::Closed`] with `UnexpectedEof`, never a short success.
+pub fn read_response<R: BufRead>(
+    reader: &mut R,
+    limits: &Limits,
+) -> Result<Option<Response>, HttpError> {
+    let mut head = Vec::new();
+    let mut interim = false;
+    loop {
+        if !read_head(reader, limits.max_head_bytes, &mut head)? {
+            // After an interim response, EOF tears the real one.
+            return if interim { Err(torn()) } else { Ok(None) };
+        }
+        let mut lines = head_lines(&head)?;
+        let status_line = lines.next().unwrap_or_default();
+        let mut parts = status_line.splitn(3, ' ');
+        let (Some(version), Some(Ok(status @ 100..=999))) =
+            (parts.next(), parts.next().map(str::parse::<u16>))
+        else {
+            return Err(HttpError::Malformed(format!(
+                "bad status line {status_line:?}"
+            )));
+        };
+        let framing = parse_headers(lines, version, limits, None)?;
+        if status < 200 {
+            interim = true;
+            continue;
+        }
+        let mut body = Vec::new();
+        read_body(reader, framing.content_length, &mut body)?;
+        return Ok(Some(Response {
+            status,
+            body,
+            keep_alive: framing.keep_alive,
+        }));
+    }
+}
+
+/// What the headers say about framing the body and the connection.
+struct Framing {
+    content_length: usize,
+    keep_alive: bool,
+    expect_continue: bool,
+}
+
+/// The head's lines: the start line first, then one per header.
+fn head_lines(head: &[u8]) -> Result<std::str::Split<'_, &'static str>, HttpError> {
+    let head = std::str::from_utf8(head)
+        .map_err(|_| HttpError::Malformed("head is not UTF-8".to_owned()))?;
+    Ok(head.split("\r\n"))
+}
+
+/// The one header loop, for both directions. `version` sets the
+/// keep-alive default; `authorization`, when given, receives that
+/// header verbatim. A `Content-Length` over `limits` is refused here,
+/// before the body is read.
+fn parse_headers<'h>(
+    lines: impl Iterator<Item = &'h str>,
+    version: &str,
+    limits: &Limits,
+    mut authorization: Option<&mut String>,
+) -> Result<Framing, HttpError> {
+    let mut framing = Framing {
+        content_length: 0,
+        keep_alive: match version {
+            "HTTP/1.1" => true,
+            "HTTP/1.0" => false,
+            other => return Err(HttpError::Unsupported(format!("version {other:?}"))),
+        },
+        expect_continue: false,
+    };
     for line in lines {
         if line.is_empty() {
             continue; // the blank terminator
         }
         let Some((name, value)) = line.split_once(':') else {
-            return Err(RequestError::Malformed(format!("bad header {line:?}")));
+            return Err(HttpError::Malformed(format!("bad header {line:?}")));
         };
         let name = name.trim().to_ascii_lowercase();
         let value = value.trim();
         match name.as_str() {
             "content-length" => {
-                content_length = value
+                framing.content_length = value
                     .parse()
-                    .map_err(|_| RequestError::Malformed(format!("content-length {value:?}")))?;
+                    .map_err(|_| HttpError::Malformed(format!("content-length {value:?}")))?;
             }
             "transfer-encoding" => {
-                return Err(RequestError::Unsupported(
+                return Err(HttpError::Unsupported(
                     "transfer-encoding (send Content-Length)".to_owned(),
                 ));
             }
             "connection" => {
                 if value.eq_ignore_ascii_case("close") {
-                    keep_alive = false;
+                    framing.keep_alive = false;
                 } else if value.eq_ignore_ascii_case("keep-alive") {
-                    keep_alive = true;
+                    framing.keep_alive = true;
                 }
             }
-            "expect" => expect_continue = value.eq_ignore_ascii_case("100-continue"),
-            "authorization" => req.authorization.push_str(value),
+            "expect" => framing.expect_continue = value.eq_ignore_ascii_case("100-continue"),
+            "authorization" => {
+                if let Some(out) = authorization.as_deref_mut() {
+                    out.push_str(value);
+                }
+            }
             _ => {}
         }
     }
-    if content_length > limits.max_body_bytes {
-        return Err(RequestError::BodyTooLarge(limits.max_body_bytes));
+    if framing.content_length > limits.max_body_bytes {
+        return Err(HttpError::BodyTooLarge(limits.max_body_bytes));
     }
-
-    req.body.clear();
-    req.body.resize(content_length, 0);
-    if content_length > 0 {
-        if expect_continue {
-            let _ = writer.write_all(b"HTTP/1.1 100 Continue\r\n\r\n");
-            let _ = writer.flush();
-        }
-        reader
-            .read_exact(&mut req.body)
-            .map_err(|_| RequestError::Closed)?;
-    }
-    req.method.clear();
-    req.method.push_str(method);
-    req.path.clear();
-    req.path.push_str(path);
-    req.keep_alive = keep_alive;
-    Ok(())
+    Ok(framing)
 }
 
-/// Reads bytes up to and including the `\r\n\r\n` head terminator into
-/// the reused `head` buffer (cleared first). `Ok(false)` on EOF/timeout
-/// before the first byte.
+/// Reads exactly `len` body bytes (already checked against the limit)
+/// into the reused `body` buffer.
+fn read_body<R: BufRead>(reader: &mut R, len: usize, body: &mut Vec<u8>) -> Result<(), HttpError> {
+    body.clear();
+    body.resize(len, 0);
+    reader.read_exact(body).map_err(HttpError::Closed)
+}
+
+fn torn() -> HttpError {
+    HttpError::Closed(ErrorKind::UnexpectedEof.into())
+}
+
+/// Reads the start line and headers, up to and including the
+/// `\r\n\r\n` terminator, into the reused `head` buffer (cleared
+/// first), a line at a time and never more than one byte past `max`.
+/// `Ok(false)` on EOF before the first byte.
 fn read_head<R: BufRead>(
     reader: &mut R,
     max: usize,
     head: &mut Vec<u8>,
-) -> Result<bool, RequestError> {
+) -> Result<bool, HttpError> {
     head.clear();
-    let mut byte = [0u8; 1];
-    loop {
-        match reader.read(&mut byte) {
-            Ok(0) => {
-                return if head.is_empty() {
-                    Ok(false)
-                } else {
-                    Err(RequestError::Closed)
-                };
-            }
-            Ok(_) => {
-                if head.len() >= max {
-                    return Err(RequestError::HeadTooLarge);
-                }
-                head.push(byte[0]);
-                if head.ends_with(b"\r\n\r\n") {
-                    return Ok(true);
-                }
-            }
-            Err(e) if e.kind() == ErrorKind::Interrupted => {}
-            Err(e)
-                if head.is_empty()
-                    && matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) =>
-            {
-                // Idle keep-alive connection hit the read timeout.
-                return Ok(false);
-            }
-            Err(_) => return Err(RequestError::Closed),
+    while !head.ends_with(b"\r\n\r\n") {
+        let room = (max.saturating_add(1) - head.len()) as u64;
+        match reader.by_ref().take(room).read_until(b'\n', head) {
+            Ok(0) if head.is_empty() => return Ok(false),
+            Ok(0) => return Err(torn()),
+            Ok(_) if head.len() > max => return Err(HttpError::HeadTooLarge),
+            Ok(_) => {}
+            Err(e) => return Err(HttpError::Closed(e)),
         }
     }
+    Ok(true)
 }
 
 /// The reason phrase for the statuses this server emits.
@@ -321,7 +419,7 @@ mod tests {
         max_body_bytes: 64,
     };
 
-    fn parse(raw: &str) -> Result<Option<Request>, RequestError> {
+    fn parse(raw: &str) -> Result<Option<Request>, HttpError> {
         let mut sink = Vec::new();
         let mut req = Request::new();
         let mut reader = Cursor::new(raw.as_bytes().to_vec());
@@ -353,29 +451,29 @@ mod tests {
     fn rejects_oversized_body_and_head() {
         assert!(matches!(
             parse("POST /x HTTP/1.1\r\nContent-Length: 65\r\n\r\n"),
-            Err(RequestError::BodyTooLarge(64))
+            Err(HttpError::BodyTooLarge(64))
         ));
         let huge = format!("GET /x HTTP/1.1\r\nX-Pad: {}\r\n\r\n", "a".repeat(2048));
-        assert!(matches!(parse(&huge), Err(RequestError::HeadTooLarge)));
+        assert!(matches!(parse(&huge), Err(HttpError::HeadTooLarge)));
     }
 
     #[test]
     fn rejects_malformed_and_unsupported() {
         assert!(matches!(
             parse("nonsense\r\n\r\n"),
-            Err(RequestError::Malformed(_))
+            Err(HttpError::Malformed(_))
         ));
         assert!(matches!(
             parse("GET /x HTTP/2\r\n\r\n"),
-            Err(RequestError::Unsupported(_))
+            Err(HttpError::Unsupported(_))
         ));
         assert!(matches!(
             parse("POST /x HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n"),
-            Err(RequestError::Unsupported(_))
+            Err(HttpError::Unsupported(_))
         ));
         assert!(matches!(
             parse("POST /x HTTP/1.1\r\nContent-Length: many\r\n\r\n"),
-            Err(RequestError::Malformed(_))
+            Err(HttpError::Malformed(_))
         ));
     }
 

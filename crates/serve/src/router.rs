@@ -42,9 +42,9 @@
 //! surfaces 502/503 and lets the operator decide.
 
 use crate::api::{
-    self, AbsorbRequest, BatchBody, EpochBody, InferBatchRequest, InferRequest, PredictionBody,
-    PublishBody, PublishRequest, RouteTableBody, RouteTableEntry, CONTENT_TYPE_JSON,
-    CONTENT_TYPE_TEXT,
+    self, AbsorbRequest, BatchBody, EpochBody, Exposition, InferBatchRequest, InferRequest,
+    PredictionBody, PublishBody, PublishRequest, RouteTableBody, RouteTableEntry,
+    CONTENT_TYPE_JSON, CONTENT_TYPE_TEXT,
 };
 use crate::client::HttpClient;
 use crate::health::{probe_healthz, BackendStatus};
@@ -566,59 +566,28 @@ fn healthz(state: &RouterState) -> Resp {
 }
 
 fn metrics(state: &RouterState) -> Resp {
-    use std::fmt::Write as _;
     let mut out = String::new();
-    let w = |out: &mut String, name: &str, kind: &str, value: &dyn std::fmt::Display| {
-        let _ = writeln!(out, "# TYPE {name} {kind}\n{name} {value}");
-    };
-    w(
-        &mut out,
-        "grafics_router_requests_total",
-        "counter",
-        &state.request_count(),
-    );
-    w(
-        &mut out,
-        "grafics_rate_limited_total",
-        "counter",
-        &state.rate_limited_count(),
-    );
-    w(
-        &mut out,
+    let mut m = Exposition(&mut out);
+    m.counter("grafics_router_requests_total", state.request_count());
+    m.counter("grafics_rate_limited_total", state.rate_limited_count());
+    m.counter(
         "grafics_router_degraded_responses_total",
-        "counter",
-        &state.degraded_count(),
+        state.degraded_count(),
     );
-    w(
-        &mut out,
+    m.counter(
         "grafics_router_scatter_gathers_total",
-        "counter",
-        &state.scatter_count(),
+        state.scatter_count(),
     );
-    w(
-        &mut out,
+    m.counter(
         "grafics_router_backend_retries_total",
-        "counter",
-        &state.backend_retry_count(),
+        state.backend_retry_count(),
     );
-    w(
-        &mut out,
+    m.gauge(
         "grafics_router_uptime_seconds",
-        "gauge",
-        &state.started.elapsed().as_secs_f64(),
+        state.started.elapsed().as_secs_f64(),
     );
-    w(
-        &mut out,
-        "grafics_router_backends",
-        "gauge",
-        &state.backends.len(),
-    );
-    w(
-        &mut out,
-        "grafics_router_buildings",
-        "gauge",
-        &state.building_count(),
-    );
+    m.gauge("grafics_router_backends", state.backends.len());
+    m.gauge("grafics_router_buildings", state.building_count());
     type BackendMetric<'a> = (&'a str, &'a str, &'a dyn Fn(&BackendStatus) -> u64);
     let per_backend: [BackendMetric; 5] = [
         ("grafics_router_backend_up", "gauge", &|s| {
@@ -638,24 +607,18 @@ fn metrics(state: &RouterState) -> Resp {
         }),
     ];
     for (name, kind, value) in per_backend {
-        let _ = writeln!(out, "# TYPE {name} {kind}");
+        m.family(name, kind);
         for backend in &state.backends {
-            let _ = writeln!(
-                out,
-                "{name}{{backend=\"{}\"}} {}",
-                backend.status.name(),
-                value(&backend.status)
-            );
+            let s = &backend.status;
+            m.sample(name, &[("backend", &s.name())], value(s));
         }
     }
-    let _ = writeln!(out, "# TYPE grafics_router_backend_state gauge");
+    m.family("grafics_router_backend_state", "gauge");
     for backend in &state.backends {
-        let _ = writeln!(
-            out,
-            "grafics_router_backend_state{{backend=\"{}\",state=\"{}\"}} 1",
-            backend.status.name(),
-            backend.status.state().as_str()
-        );
+        let s = &backend.status;
+        let labels: [(&str, &dyn std::fmt::Display); 2] =
+            [("backend", &s.name()), ("state", &s.state().as_str())];
+        m.sample("grafics_router_backend_state", &labels, 1);
     }
     Resp {
         status: 200,
@@ -1334,6 +1297,39 @@ mod tests {
         // 1000 tokens/s refill fast enough to observe.
         std::thread::sleep(Duration::from_millis(20));
         assert!(limiter.check(ip).is_ok());
+    }
+
+    /// A backend name is an operator's free text (`router.json`,
+    /// `--backends`): quotes and backslashes in it are escaped, so each
+    /// per-backend series stays one well-formed line, and every other
+    /// line is unchanged.
+    #[test]
+    fn metrics_escape_backend_names_in_labels() {
+        let mut config = RouterConfig::default();
+        config.manifest.backends.push(grafics_core::BackendSpec {
+            name: "a\"b\\c".to_owned(),
+            addr: "127.0.0.1:1".to_owned(),
+        });
+        let router = RouterServer::bind(config, "127.0.0.1:0").unwrap();
+        let text = metrics(&router.state()).body;
+        let labelled: Vec<&str> = text.lines().filter(|l| l.contains('{')).collect();
+        assert_eq!(labelled.len(), 6, "{text}");
+        for line in &labelled {
+            let (series, value) = line.rsplit_once(' ').unwrap();
+            assert!(value == "0" || value == "1", "{line}");
+            assert!(
+                series.ends_with("{backend=\"a\\\"b\\\\c\"}") || series.ends_with(",state=\"up\"}"),
+                "{line}"
+            );
+        }
+        assert!(
+            text.contains("grafics_router_backend_state{backend=\"a\\\"b\\\\c\",state=\"up\"} 1\n"),
+            "{text}"
+        );
+        assert!(
+            text.contains("# TYPE grafics_router_backends gauge\ngrafics_router_backends 1\n"),
+            "{text}"
+        );
     }
 
     #[test]
