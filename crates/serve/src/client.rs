@@ -6,12 +6,11 @@
 //!
 //! Responses are read by the crate's one HTTP reader,
 //! [`http::read_response`], under the fixed [`http::RESPONSE_LIMITS`]
-//! (8 KiB of head, 8 MiB of body), so no backend answer can abort or
-//! exhaust the process. Each request is formatted into a `BufWriter` and
-//! leaves in one write when it fits the buffer, as the server writes its
-//! responses. After a `Connection: close` response, or any failed
-//! request, the next request opens a fresh connection instead of writing
-//! to a socket the server is closing; that reconnect is not a retry.
+//! (8 KiB of head, 32 MiB of body), so no backend answer can abort or
+//! exhaust the process. Each request is formatted into one reused buffer
+//! and sent in one write, so a failed write leaves nothing buffered.
+//! After a `Connection: close` response, or any failed request, the next
+//! request opens a fresh connection; that reconnect is not a retry.
 //!
 //! The client is hardened for flaky links: every socket carries read
 //! *and* write timeouts, and **idempotent** requests (`GET` anything,
@@ -27,7 +26,7 @@
 //! record twice.
 
 use crate::http;
-use std::io::{BufReader, BufWriter, Write};
+use std::io::{BufReader, Write};
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::time::{Duration, SystemTime};
 
@@ -35,7 +34,8 @@ use std::time::{Duration, SystemTime};
 /// reconnect-and-retry on idempotent requests.
 pub struct HttpClient {
     reader: BufReader<TcpStream>,
-    writer: BufWriter<TcpStream>,
+    /// Reused buffer each request is formatted into before its one send.
+    request: Vec<u8>,
     /// The connection must not carry another request: the last response
     /// said `Connection: close`, or the last request failed.
     closed: bool,
@@ -71,10 +71,9 @@ impl HttpClient {
         })?;
         let read_timeout = Duration::from_secs(30);
         let write_timeout = Duration::from_secs(10);
-        let (reader, writer) = Self::open(addr, read_timeout, write_timeout)?;
         Ok(HttpClient {
-            reader,
-            writer,
+            reader: Self::open(addr, read_timeout, write_timeout)?,
+            request: Vec::new(),
             closed: false,
             addr,
             read_timeout,
@@ -101,8 +100,8 @@ impl HttpClient {
     pub fn set_timeouts(&mut self, read: Duration, write: Duration) -> std::io::Result<()> {
         self.read_timeout = read;
         self.write_timeout = write;
-        self.writer.get_ref().set_read_timeout(Some(read))?;
-        self.writer.get_ref().set_write_timeout(Some(write))
+        self.reader.get_ref().set_read_timeout(Some(read))?;
+        self.reader.get_ref().set_write_timeout(Some(write))
     }
 
     /// Adjusts the retry policy for idempotent requests: up to
@@ -124,12 +123,12 @@ impl HttpClient {
         addr: SocketAddr,
         read_timeout: Duration,
         write_timeout: Duration,
-    ) -> std::io::Result<(BufReader<TcpStream>, BufWriter<TcpStream>)> {
+    ) -> std::io::Result<BufReader<TcpStream>> {
         let stream = TcpStream::connect(addr)?;
         stream.set_nodelay(true)?;
         stream.set_read_timeout(Some(read_timeout))?;
         stream.set_write_timeout(Some(write_timeout))?;
-        Ok((BufReader::new(stream.try_clone()?), BufWriter::new(stream)))
+        Ok(BufReader::new(stream))
     }
 
     /// `true` if a transport failure may be blindly resent: the request
@@ -210,27 +209,29 @@ impl HttpClient {
         body: Option<&str>,
     ) -> std::io::Result<(u16, String)> {
         if self.closed {
-            let (reader, writer) = Self::open(self.addr, self.read_timeout, self.write_timeout)?;
-            self.reader = reader;
-            // `into_parts` drops what a failed write left buffered instead
-            // of flushing it onto the old socket.
-            let _ = std::mem::replace(&mut self.writer, writer).into_parts();
+            self.reader = Self::open(self.addr, self.read_timeout, self.write_timeout)?;
         }
         // Until a whole keep-alive response is read, the connection is in
         // an unknown state and must not carry the next request.
         self.closed = true;
         let body = body.unwrap_or("");
+        let request = &mut self.request;
+        request.clear();
         write!(
-            self.writer,
+            request,
             "{method} {path} HTTP/1.1\r\nHost: grafics\r\nContent-Type: application/json\r\nContent-Length: {}\r\nConnection: keep-alive\r\n",
             body.len(),
         )?;
         if let Some(token) = &self.auth_token {
-            write!(self.writer, "Authorization: Bearer {token}\r\n")?;
+            write!(request, "Authorization: Bearer {token}\r\n")?;
         }
-        self.writer.write_all(b"\r\n")?;
-        self.writer.write_all(body.as_bytes())?;
-        self.writer.flush()?;
+        request.extend_from_slice(b"\r\n");
+        request.extend_from_slice(body.as_bytes());
+        let sent = self.reader.get_mut().write_all(request);
+        // A pooled client keeps no large body's copy between requests.
+        request.clear();
+        request.shrink_to(8 * 1024);
+        sent?;
         let Some(resp) = http::read_response(&mut self.reader, &http::RESPONSE_LIMITS)? else {
             // Clean EOF before a status line: the server closed the
             // keep-alive connection (idle timeout, drain). Retryable.

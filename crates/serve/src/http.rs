@@ -6,11 +6,11 @@
 //! [`read_response`] under the fixed [`RESPONSE_LIMITS`]. Both share one
 //! head reader and one header loop, so both hold the same bounds: the
 //! head is read a line at a time and never past `max_head_bytes` (431),
-//! a `Content-Length` over `max_body_bytes` is refused before anything
-//! of that size is allocated (413), and `Transfer-Encoding` is refused
-//! (501). Std-only and deliberately tiny — a few JSON endpoints, not a
-//! web framework. Unsupported on purpose: chunked transfer encoding,
-//! HTTP/2, TLS (terminate upstream), multipart.
+//! a `Content-Length` over `max_body_bytes` is refused (413), a body's
+//! buffer grows only as its bytes arrive, and `Transfer-Encoding` is
+//! refused (501). Std-only and deliberately tiny — a few JSON endpoints,
+//! not a web framework. Unsupported on purpose: chunked transfer
+//! encoding, HTTP/2, TLS (terminate upstream), multipart.
 
 use std::io::{BufRead, ErrorKind, Read, Write};
 
@@ -24,15 +24,16 @@ pub struct Limits {
     pub max_body_bytes: usize,
 }
 
-/// The limits every response is read under. The largest response
-/// measured is a `/v1/route_table`: 216,078 bytes for one backend's 32
-/// buildings in the `serve-http` benchmark, so about 430 KB for 64. The
-/// body limit is the router's own request-body limit, 8 MiB, which holds
-/// a table of over a thousand such buildings; response heads are under
-/// 200 bytes.
+/// The limits every response is read under. The largest answer a legal
+/// request can ask for is an `/v1/infer_batch` of the shortest records
+/// (`{"readings":[{"mac":1,"rssi":0}]}`, 35 bytes with its comma), each
+/// answering in at most 132 bytes: 31.7 MB at the router's default 8 MiB
+/// request limit. A unit test in `router.rs` keeps both servers' default
+/// limits inside the 32 MiB body limit, and the router splits its own
+/// backend batches to fit it. Response heads are under 200 bytes.
 pub const RESPONSE_LIMITS: Limits = Limits {
     max_head_bytes: 8 * 1024,
-    max_body_bytes: 8 << 20,
+    max_body_bytes: 32 << 20,
 };
 
 /// One parsed HTTP request. Designed for reuse: a worker keeps one
@@ -309,11 +310,19 @@ fn parse_headers<'h>(
 }
 
 /// Reads exactly `len` body bytes (already checked against the limit)
-/// into the reused `body` buffer.
+/// into the reused `body` buffer, which grows only as bytes arrive: a
+/// `Content-Length` that the peer never sends costs nothing.
 fn read_body<R: BufRead>(reader: &mut R, len: usize, body: &mut Vec<u8>) -> Result<(), HttpError> {
     body.clear();
-    body.resize(len, 0);
-    reader.read_exact(body).map_err(HttpError::Closed)
+    reader
+        .take(len as u64)
+        .read_to_end(body)
+        .map_err(HttpError::Closed)?;
+    if body.len() < len {
+        Err(torn())
+    } else {
+        Ok(())
+    }
 }
 
 fn torn() -> HttpError {

@@ -455,6 +455,58 @@ struct SubBatchRequest {
     indices: Vec<u64>,
 }
 
+/// The most records one `/v1/infer_batch` call to a backend carries, so
+/// that its answer fits [`crate::http::RESPONSE_LIMITS`] whatever the
+/// request limits: a unit test pins the longest answer slot at 131 bytes.
+const SUB_BATCH_RECORDS: usize = 32_768;
+
+/// Serves `positions` of a batch on backend `idx`, in sub-batches of at
+/// most [`SUB_BATCH_RECORDS`] that carry the original stream indices;
+/// `None` if any call fails or answers the wrong number of slots.
+fn serve_on(
+    state: &RouterState,
+    idx: usize,
+    records: &[SignalRecord],
+    indices: &[u64],
+    positions: &[usize],
+    seed: u64,
+    threads: usize,
+) -> Option<Vec<Option<PredictionBody>>> {
+    let mut slots = Vec::with_capacity(positions.len());
+    for chunk in positions.chunks(SUB_BATCH_RECORDS) {
+        let sub = SubBatchRequest {
+            records: chunk.iter().map(|&p| records[p].clone()).collect(),
+            seed,
+            threads,
+            indices: chunk.iter().map(|&p| indices[p]).collect(),
+        };
+        let body = serde_json::to_string(&sub).ok()?;
+        let Ok((200, resp)) = state.call_idempotent(idx, "POST", "/v1/infer_batch", Some(&body))
+        else {
+            return None;
+        };
+        let batch: BatchBody = serde_json::from_str(&resp).ok()?;
+        if batch.predictions.len() != chunk.len() {
+            return None;
+        }
+        slots.extend(batch.predictions);
+    }
+    Some(slots)
+}
+
+/// Runs `call(i)` for every `i` in `0..n`, each on its own scoped
+/// thread, and returns the answers in order (`None` where one panicked).
+fn fan_out<T: Send>(n: usize, call: impl Fn(usize) -> Option<T> + Sync) -> Vec<Option<T>> {
+    std::thread::scope(|scope| {
+        let call = &call;
+        let handles: Vec<_> = (0..n).map(|i| scope.spawn(move || call(i))).collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().unwrap_or_default())
+            .collect()
+    })
+}
+
 /// Single-record scatter probe (fallback path of `/v1/infer`).
 #[derive(Serialize)]
 struct SubInferRequest {
@@ -727,24 +779,13 @@ fn scatter_infer(state: &RouterState, record: &SignalRecord, req: &InferRequest)
         return Resp::error(500, "could not serialize scatter request");
     };
     let mut degraded = state.index.read().unwrap().owners.is_empty();
-    let answers: Vec<Option<(u16, String)>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..state.backends.len())
-            .map(|idx| {
-                let sub_body = sub_body.as_str();
-                scope.spawn(move || {
-                    if !state.backends[idx].status.routable() {
-                        return None;
-                    }
-                    state
-                        .call_idempotent(idx, "POST", "/v1/infer", Some(sub_body))
-                        .ok()
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().unwrap_or_default())
-            .collect()
+    let answers = fan_out(state.backends.len(), |idx| {
+        if !state.backends[idx].status.routable() {
+            return None;
+        }
+        state
+            .call_idempotent(idx, "POST", "/v1/infer", Some(&sub_body))
+            .ok()
     });
     let mut best: Option<(f64, u32, String)> = None;
     for answer in answers {
@@ -835,52 +876,26 @@ fn infer_batch(state: &RouterState, body: &[u8]) -> Resp {
     }
 
     let mut slots: Vec<Option<PredictionBody>> = vec![None; n];
+    let (records, indices) = (&records[..], &indices[..]);
 
-    // Fan the routed groups out in parallel, one sub-batch per backend,
-    // each carrying the original stream indices.
+    // Fan the routed groups out in parallel, one backend per thread,
+    // each sub-batch carrying the original stream indices.
     let group_list: Vec<(usize, Vec<usize>)> = groups.into_iter().collect();
-    let group_results: Vec<Option<BatchBody>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = group_list
-            .iter()
-            .map(|(backend, positions)| {
-                let records = &records;
-                let indices = &indices;
-                scope.spawn(move || {
-                    let sub = SubBatchRequest {
-                        records: positions.iter().map(|&p| records[p].clone()).collect(),
-                        seed,
-                        threads,
-                        indices: positions.iter().map(|&p| indices[p]).collect(),
-                    };
-                    let sub_body = serde_json::to_string(&sub).ok()?;
-                    match state.call_idempotent(
-                        *backend,
-                        "POST",
-                        "/v1/infer_batch",
-                        Some(&sub_body),
-                    ) {
-                        Ok((200, resp)) => serde_json::from_str::<BatchBody>(&resp).ok(),
-                        _ => None,
-                    }
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().unwrap_or_default())
-            .collect()
+    let group_results = fan_out(group_list.len(), |i| {
+        let (backend, positions) = &group_list[i];
+        serve_on(state, *backend, records, indices, positions, seed, threads)
     });
     for ((_, positions), result) in group_list.iter().zip(group_results) {
         match result {
-            Some(batch) if batch.predictions.len() == positions.len() => {
-                for (&pos, pred) in positions.iter().zip(batch.predictions) {
+            Some(predictions) => {
+                for (&pos, pred) in positions.iter().zip(predictions) {
                     slots[pos] = pred;
                 }
             }
-            _ => {
-                // The whole sub-batch failed: its backend is unreachable
-                // or answered garbage. Degrade, and broadcast the
-                // affected records if the caller allowed fallback.
+            None => {
+                // The group failed: its backend is unreachable or
+                // answered garbage. Degrade, and broadcast the affected
+                // records if the caller allowed fallback.
                 degraded = true;
                 if fallback {
                     scatter.extend(positions.iter().copied());
@@ -894,54 +909,23 @@ fn infer_batch(state: &RouterState, body: &[u8]) -> Resp {
     if !scatter.is_empty() {
         scatter.sort_unstable();
         state.scatter_gathers.fetch_add(1, Ordering::Relaxed);
-        let sub = SubBatchRequest {
-            records: scatter.iter().map(|&p| records[p].clone()).collect(),
-            seed,
-            threads,
-            indices: scatter.iter().map(|&p| indices[p]).collect(),
-        };
-        if let Ok(sub_body) = serde_json::to_string(&sub) {
-            let answers: Vec<Option<BatchBody>> = std::thread::scope(|scope| {
-                let handles: Vec<_> = (0..state.backends.len())
-                    .map(|idx| {
-                        let sub_body = sub_body.as_str();
-                        scope.spawn(move || {
-                            if !state.backends[idx].status.routable() {
-                                return None;
-                            }
-                            match state.call_idempotent(
-                                idx,
-                                "POST",
-                                "/v1/infer_batch",
-                                Some(sub_body),
-                            ) {
-                                Ok((200, resp)) => serde_json::from_str::<BatchBody>(&resp).ok(),
-                                _ => None,
-                            }
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().unwrap_or_default())
-                    .collect()
-            });
-            for answer in answers.into_iter().flatten() {
-                if answer.predictions.len() != scatter.len() {
-                    degraded = true;
-                    continue;
-                }
-                for (&pos, pred) in scatter.iter().zip(answer.predictions) {
-                    let Some(pred) = pred else { continue };
-                    // Strict-smaller distance wins; ties keep the lowest
-                    // building id.
-                    let better = slots[pos].as_ref().is_none_or(|cur| {
-                        pred.distance < cur.distance
-                            || (pred.distance == cur.distance && pred.building < cur.building)
-                    });
-                    if better {
-                        slots[pos] = Some(pred);
-                    }
+        let answers = fan_out(state.backends.len(), |idx| {
+            if !state.backends[idx].status.routable() {
+                return None;
+            }
+            serve_on(state, idx, records, indices, &scatter, seed, threads)
+        });
+        for answer in answers.into_iter().flatten() {
+            for (&pos, pred) in scatter.iter().zip(answer) {
+                let Some(pred) = pred else { continue };
+                // Strict-smaller distance wins; ties keep the lowest
+                // building id.
+                let better = slots[pos].as_ref().is_none_or(|cur| {
+                    pred.distance < cur.distance
+                        || (pred.distance == cur.distance && pred.building < cur.building)
+                });
+                if better {
+                    slots[pos] = Some(pred);
                 }
             }
         }
@@ -1330,6 +1314,74 @@ mod tests {
             text.contains("# TYPE grafics_router_backends gauge\ngrafics_router_backends 1\n"),
             "{text}"
         );
+    }
+
+    /// The longest `/v1/infer_batch` answer slot: the widest building id,
+    /// floor and floor name, and the longest `{:?}` texts an f64
+    /// distance or margin can have.
+    fn longest_slot() -> usize {
+        [
+            -2.225_073_858_507_201_4e-308,
+            -1.234_567_890_123_456_7e-4,
+            -1.797_693_134_862_315_7e308,
+        ]
+        .iter()
+        .map(|&x| {
+            let pred = PredictionBody {
+                building: u32::MAX,
+                floor: i16::MIN,
+                floor_name: "B-32768".to_owned(),
+                distance: x,
+                margin: Some(x),
+            };
+            serde_json::to_string(&pred).unwrap().len()
+        })
+        .max()
+        .unwrap()
+    }
+
+    /// The longest `/v1/infer_batch` answer to `records` records.
+    fn longest_answer(records: usize) -> usize {
+        let envelope = serde_json::to_string(&BatchBody {
+            predictions: Vec::new(),
+            served: records,
+            degraded: true,
+        })
+        .unwrap()
+        .len();
+        envelope + records * (longest_slot() + 1)
+    }
+
+    #[test]
+    fn a_full_sub_batch_answer_fits_the_response_limits() {
+        assert_eq!(longest_slot(), 131);
+        let answer = longest_answer(SUB_BATCH_RECORDS);
+        assert!(
+            answer <= crate::http::RESPONSE_LIMITS.max_body_bytes,
+            "{answer}"
+        );
+    }
+
+    #[test]
+    fn a_batch_at_the_default_request_limits_answers_within_the_response_limits() {
+        // The shortest record a batch can carry, and the proof that it is
+        // a legal one.
+        let record = r#"{"readings":[{"mac":1,"rssi":0}]}"#;
+        let req: InferBatchRequest =
+            api::parse_json(format!("{{\"records\":[{record}]}}").as_bytes()).unwrap();
+        assert!(api::sanitize(&req.records[0]).is_ok());
+        let envelope = r#"{"records":[]}"#.len();
+        for limit in [
+            RouterConfig::default().max_body_bytes,
+            crate::ServeConfig::default().max_body_bytes,
+        ] {
+            let records = (limit - envelope + 1) / (record.len() + 1);
+            let answer = longest_answer(records);
+            assert!(
+                answer <= crate::http::RESPONSE_LIMITS.max_body_bytes,
+                "{records} records under a {limit}-byte limit answer in {answer} bytes"
+            );
+        }
     }
 
     #[test]

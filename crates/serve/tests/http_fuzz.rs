@@ -213,6 +213,30 @@ fn huge_or_non_numeric_content_length_is_refused_before_allocating() {
     }
 }
 
+/// A body claimed at the limit but never sent tears the message and
+/// costs only the bytes that arrived, not the claimed size.
+#[test]
+fn a_claimed_body_that_never_arrives_is_not_allocated() {
+    let limits = Limits {
+        max_head_bytes: 1024,
+        max_body_bytes: 64 << 20,
+    };
+    let [req, resp] = both("Content-Length: 67108864\r\n", b"{\"ok\"");
+    let (r, held) = peak(|| {
+        read_request_into(
+            &mut Cursor::new(&req),
+            &mut Vec::new(),
+            &limits,
+            &mut Request::new(),
+        )
+    });
+    assert!(is_torn(&r.unwrap_err()));
+    assert!(held < 4 * limits.max_head_bytes, "held {held} B");
+    let (r, held) = peak(|| read_response(&mut Cursor::new(&resp), &limits));
+    assert!(is_torn(&r.unwrap_err()));
+    assert!(held < 4 * limits.max_head_bytes, "held {held} B");
+}
+
 #[test]
 fn header_floods_and_endless_lines_stop_at_the_head_limit() {
     let flood = "X-Pad: aaaaaaaaaaaaaaaa\r\n".repeat(40_000);

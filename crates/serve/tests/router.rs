@@ -1074,3 +1074,51 @@ fn router_rejects_bad_requests_with_the_right_statuses() {
     router.shutdown().unwrap();
     backend.shutdown().unwrap();
 }
+
+/// A batch of one-reading records whose answer is larger than any one
+/// backend answer may be (8 MiB) is still served: the router splits
+/// each backend's share into sub-batches that answer within the limit,
+/// and every slot carries the bits of the in-process answer at its
+/// stream index.
+#[test]
+fn a_batch_answering_past_the_response_limit_is_served_in_sub_batches() {
+    let backend = spawn_backend(
+        shard_fleet(0),
+        ServeConfig {
+            max_body_bytes: 8 << 20,
+            ..ServeConfig::default()
+        },
+    );
+    let router = router_over(&[backend.addr()], |c| {
+        c.backend_timeout = Duration::from_secs(300);
+    });
+    assert!(router.wait_for_buildings(1, Duration::from_secs(10)));
+    let reading = building0_queries()[0].strongest();
+    let record = SignalRecord::new(vec![reading]).unwrap();
+    let n = 90_000;
+    let body = format!(
+        "{{\"records\":{},\"seed\":7,\"threads\":4}}",
+        records_json(&vec![record.clone(); n])
+    );
+    let mut client = HttpClient::connect(router.addr()).unwrap();
+    client
+        .set_timeouts(Duration::from_secs(600), Duration::from_secs(60))
+        .unwrap();
+    let (status, resp) = client.post("/v1/infer_batch", &body).unwrap();
+    assert_eq!(status, 200);
+    assert!(resp.len() > 8 << 20, "{} bytes", resp.len());
+    let batch: BatchBody = serde_json::from_str(&resp).unwrap();
+    assert_eq!((batch.served, batch.degraded), (n, false));
+    let fleet = shard_fleet(0);
+    for pos in [0, 32_767, 32_768, n - 1] {
+        let local = fleet.serve_batch_indexed(std::slice::from_ref(&record), &[pos as u64], 7, 1);
+        let local = local[0].as_ref().unwrap();
+        assert_bits_equal(
+            batch.predictions[pos].as_ref().unwrap(),
+            local,
+            &format!("slot {pos}"),
+        );
+    }
+    router.shutdown().unwrap();
+    backend.shutdown().unwrap();
+}
